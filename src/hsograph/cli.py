@@ -12,10 +12,10 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .enumeration import graphs_in_class
@@ -27,14 +27,13 @@ from .search import (
     check_conjecture_star_max,
     extremal_table,
     find_monotonicity_counterexamples,
+    parallel_map,
     witnesses_with_delta,
 )
 from .verify import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCE,
-    THEOREM_CHECKERS,
-    THEOREM_CLASS,
-    THEOREM_MIN_N,
+    THEOREMS,
     TheoremReport,
     check_pendant_split_monotone,
     check_theorem,
@@ -46,7 +45,8 @@ EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 
 PENDANT_SPLIT_CHECK = "f-monotone"
-VERIFY_CHECKS = tuple(THEOREM_CHECKERS) + (PENDANT_SPLIT_CHECK,)
+VERIFY_CHECKS = tuple(THEOREMS) + (PENDANT_SPLIT_CHECK,)
+GRAPH_CLASSES = ("tree", "unicyclic", "bicyclic", "connected")
 
 _TOOL = f"hsograph {__version__}"
 
@@ -82,6 +82,11 @@ def _default_jobs() -> int:
             raise UsageError("HSO_JOBS must be at least 1")
         return jobs
     return 1
+
+
+def _check_large(graph_class: str, n_hi: int, allow_large: bool):
+    if graph_class == "connected" and n_hi > 8 and not allow_large:
+        raise UsageError("connected sweeps above n = 8 need --allow-large")
 
 
 def _check_tolerance(tolerance: float) -> float:
@@ -187,14 +192,6 @@ def _render_summary(summary: CampaignSummary, fmt: str, meta: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_chunk(args):
-    theorem, tolerance, g6_list = args
-    out = []
-    for g6 in g6_list:
-        out.append(check_theorem(theorem, parse_graph6(g6), tolerance))
-    return out
-
-
 def run_verify_campaign(
     theorem: str,
     n_lo: int,
@@ -224,30 +221,19 @@ def run_verify_campaign(
         summary.wall_time = time.perf_counter() - start
         return summary, []
 
-    if theorem not in THEOREM_CHECKERS:
+    if theorem not in THEOREMS:
         raise UsageError(f"unknown check {theorem!r}; expected one of {', '.join(VERIFY_CHECKS)}")
-    cls = graph_class or THEOREM_CLASS[theorem]
-    if n_lo < THEOREM_MIN_N[theorem]:
-        raise UsageError(f"{theorem} is stated for n >= {THEOREM_MIN_N[theorem]}")
-    if cls == "connected" and n_hi > 8 and not allow_large:
-        raise UsageError("connected sweeps above n = 8 need --allow-large")
+    record = THEOREMS[theorem]
+    cls = graph_class or record.graph_class
+    if n_lo < record.min_n:
+        raise UsageError(f"{theorem} is stated for n >= {record.min_n}")
+    _check_large(cls, n_hi, allow_large)
 
     summary = CampaignSummary(f"verify:{theorem}", cls, n_lo, n_hi)
     reports: list[TheoremReport] = []
+    check = partial(check_theorem, theorem, tolerance=tolerance)
     for n in range(n_lo, n_hi + 1):
-        graphs = list(graphs_in_class(cls, n))
-        if jobs > 1 and len(graphs) > 4 * jobs:
-            g6s = [g.to_graph6() for g in graphs]
-            size = (len(g6s) + jobs - 1) // jobs
-            chunks = [
-                (theorem, tolerance, g6s[i:i + size]) for i in range(0, len(g6s), size)
-            ]
-            with multiprocessing.Pool(jobs) as pool:
-                for part in pool.map(_check_chunk, chunks):
-                    reports.extend(part)
-        else:
-            for g in graphs:
-                reports.append(check_theorem(theorem, g, tolerance))
+        reports.extend(parallel_map(check, list(graphs_in_class(cls, n)), jobs))
     reports.sort(key=lambda r: (r.n, r.graph6))
 
     for r in reports:
@@ -371,8 +357,7 @@ def cmd_search(args) -> int:
         if args.n is None:
             raise UsageError("search conjecture needs --n")
         n_lo, n_hi = _parse_range(args.n)
-        if n_hi > 8 and not args.allow_large:
-            raise UsageError("conjecture sweeps above n = 8 need --allow-large")
+        _check_large("connected", n_hi, args.allow_large)
         exit_code = EXIT_OK
         outputs = []
         for n in range(n_lo, n_hi + 1):
@@ -394,8 +379,7 @@ def cmd_search(args) -> int:
         if args.n is None:
             raise UsageError("search extremal-table needs --n")
         n_lo, n_hi = _parse_range(args.n)
-        if args.graph_class == "connected" and n_hi > 8 and not args.allow_large:
-            raise UsageError("connected sweeps above n = 8 need --allow-large")
+        _check_large(args.graph_class, n_hi, args.allow_large)
         summary = extremal_table(args.graph_class, n_lo, n_hi, jobs=args.jobs)
         meta = {"check": "extremal-table", "class": args.graph_class, "n": f"{n_lo}..{n_hi}"}
         _write_text(args.out, _render_summary(summary, args.format, meta))
@@ -405,8 +389,7 @@ def cmd_search(args) -> int:
 
 def cmd_enumerate(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
-    if args.graph_class == "connected" and n_hi > 8 and not args.allow_large:
-        raise UsageError("connected enumeration above n = 8 needs --allow-large")
+    _check_large(args.graph_class, n_hi, args.allow_large)
     count = 0
     lines = []
     for n in range(n_lo, n_hi + 1):
@@ -449,11 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep a bound check over an enumerated class")
     p_verify.add_argument("check", choices=VERIFY_CHECKS)
     p_verify.add_argument("--n", required=True, help="order range A..B (or single order)")
-    p_verify.add_argument(
-        "--class", dest="graph_class",
-        choices=("tree", "unicyclic", "bicyclic", "connected"),
-        help="override the check's default graph class",
-    )
+    p_verify.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
+                          help="override the check's default graph class")
     p_verify.add_argument("--grid", type=int, default=1000, help="grid size for f-monotone")
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_verify.add_argument("--jobs", type=int, default=None)
@@ -465,10 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("kind", choices=("monotonicity", "conjecture", "extremal-table"))
     p_search.add_argument("--n-max", type=int, default=5, help="monotonicity: max order")
     p_search.add_argument("--n", help="order or range for conjecture/extremal-table")
-    p_search.add_argument(
-        "--class", dest="graph_class",
-        choices=("tree", "unicyclic", "bicyclic", "connected"), default="connected",
-    )
+    p_search.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
+                          default="connected")
     p_search.add_argument("--target-delta", type=float, default=None,
                           help="monotonicity: keep witnesses with this exact HSO drop")
     p_search.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
@@ -478,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--allow-large", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="write an enumerated class as graph6 lines")
-    p_enum.add_argument("--class", dest="graph_class",
-                        choices=("tree", "unicyclic", "bicyclic", "connected"),
+    p_enum.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
                         default="connected")
     p_enum.add_argument("--n", required=True, help="order range A..B (or single order)")
     p_enum.add_argument("--edges", type=int, default=None,

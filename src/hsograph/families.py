@@ -259,12 +259,14 @@ def closed_form_hso(spec: FamilySpec) -> float:
     raise InvalidParametersError(f"unknown family kind {kind!r}")
 
 
-_THEOREM_MIN_N = {
-    "tree-bounds": 2,
-    "general-lower": 3,
-    "unicyclic-bounds": 3,
-    "bicyclic-lower": 4,
-    "bicyclic-upper": 4,
+# theorem -> (least order, family of the lower bound, family of the upper
+# bound); each bound is the family member's closed-form HSO at order n
+_BOUND_FAMILIES = {
+    "tree-bounds": (2, path, star),
+    "general-lower": (3, cycle, None),
+    "unicyclic-bounds": (3, cycle, sprime),
+    "bicyclic-lower": (4, lambda n: cdprime(3, n - 1), None),
+    "bicyclic-upper": (4, None, sdprime),
 }
 
 
@@ -274,44 +276,13 @@ def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]
     A side without a bound is None.  Known identifiers: tree-bounds,
     general-lower, unicyclic-bounds, bicyclic-lower, bicyclic-upper.
     """
-    if theorem not in _THEOREM_MIN_N:
+    if theorem not in _BOUND_FAMILIES:
         raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")
-    if n < _THEOREM_MIN_N[theorem]:
-        raise OrderOutOfRangeError(
-            f"{theorem} is stated for n >= {_THEOREM_MIN_N[theorem]}, got {n}"
-        )
-    if theorem == "tree-bounds":
-        return (
-            2.0 * SQRT5 + (n - 3) * SQRT2,
-            (n - 1) * math.sqrt(n * n - 2.0 * n + 2.0),
-        )
-    if theorem == "general-lower":
-        return (SQRT2 * n, None)
-    if theorem == "unicyclic-bounds":
-        return (
-            SQRT2 * n,
-            math.fsum(
-                [
-                    (n - 3) * math.sqrt(n * n - 2.0 * n + 2.0),
-                    math.sqrt(n * n - 2.0 * n + 5.0),
-                    SQRT2,
-                ]
-            ),
-        )
-    if theorem == "bicyclic-lower":
-        return ((n - 3) * SQRT2 + 2.0 * math.sqrt(13.0), None)
-    # bicyclic-upper
-    return (
-        None,
-        math.fsum(
-            [
-                (n - 4) * math.sqrt(n * n - 2.0 * n + 2.0),
-                math.sqrt(n * n - 2.0 * n + 5.0),
-                math.sqrt(n * n - 2.0 * n + 10.0) / 3.0,
-                math.sqrt(13.0),
-            ]
-        ),
-    )
+    min_n, lower, upper = _BOUND_FAMILIES[theorem]
+    if n < min_n:
+        raise OrderOutOfRangeError(f"{theorem} is stated for n >= {min_n}, got {n}")
+    return tuple(None if family is None else closed_form_hso(family(n))
+                 for family in (lower, upper))
 
 
 def parse_family(text: str) -> FamilySpec:

@@ -83,22 +83,29 @@ class CampaignSummary:
         return out
 
 
-def _hso_chunk(g6_list):
-    return [hso(parse_graph6(s)).hso for s in g6_list]
+def _map_chunk(args):
+    fn, g6_list = args
+    return [fn(parse_graph6(s)) for s in g6_list]
 
 
-def _hso_values(graphs, jobs):
-    """HSO of each graph, in stream order; workers split contiguous chunks."""
+def parallel_map(fn, graphs, jobs: int) -> list:
+    """fn of each graph, in stream order.
+
+    With several jobs and enough graphs, workers take contiguous chunks of
+    the graph6 strings, so fn must pickle: a module-level function or a
+    functools.partial of one.
+    """
     if jobs <= 1 or len(graphs) < 4 * jobs:
-        return [hso(g).hso for g in graphs]
+        return [fn(g) for g in graphs]
     g6s = [g.to_graph6() for g in graphs]
     size = (len(g6s) + jobs - 1) // jobs
-    chunks = [g6s[i:i + size] for i in range(0, len(g6s), size)]
-    values = []
+    chunks = [(fn, g6s[i:i + size]) for i in range(0, len(g6s), size)]
     with multiprocessing.Pool(jobs) as pool:
-        for part in pool.map(_hso_chunk, chunks):
-            values.extend(part)
-    return values
+        return [out for part in pool.map(_map_chunk, chunks) for out in part]
+
+
+def _hso_value(g) -> float:
+    return hso(g).hso
 
 
 def find_monotonicity_counterexamples(
@@ -166,7 +173,7 @@ def check_conjecture_star_max(
     star_code = canonical_form(build(star_spec))
     summary = CampaignSummary("search:conjecture", "connected", n, n)
     graphs = list(connected_graphs(n))
-    values = _hso_values(graphs, jobs)
+    values = parallel_map(_hso_value, graphs, jobs)
     best_value = None
     best_graph = None
     for g, value in zip(graphs, values):
@@ -221,7 +228,7 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
         lo_value = hi_value = None
         lo_graph = hi_graph = None
         graphs = list(graphs_in_class(graph_class, n))
-        values = _hso_values(graphs, jobs)
+        values = parallel_map(_hso_value, graphs, jobs)
         for g, value in zip(graphs, values):
             summary.graphs_examined += 1
             if lo_value is None or value < lo_value:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from .families import (
     cprime,
 )
 from .graph import BICYCLIC, TREE, UNICYCLIC, Graph, canonical_form
-from .indices import SQRT2, SQRT5, edge_term, hso
+from .indices import SQRT2, edge_term, edge_term_bounds, hso
 
 logger = logging.getLogger(__name__)
 
@@ -185,20 +186,13 @@ def check_sandwich(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremRep
     if g.n < 2:
         raise OrderTooSmallError("sandwich comparison needs at least one edge")
     iv = hso(g)
-    lower = iv.so / g.max_degree
-    upper = iv.so / g.min_degree
-    eq_lower = _close(iv.hso, lower, tolerance)
-    eq_upper = _close(iv.hso, upper, tolerance)
-    holds = (iv.hso >= lower - _slack(lower, tolerance)) and (
-        iv.hso <= upper + _slack(upper, tolerance)
-    )
     regular = g.max_degree == g.min_degree
-    heavy = False if regular else is_heavy_independent(g)
-    structural = "regular" if regular else ("heavy-independent" if heavy else "none")
-    consistent = (eq_lower == regular) and (eq_upper == (regular or heavy))
-    return TheoremReport(
-        "sandwich", g.to_graph6(), g.n, iv.hso, lower, upper,
-        holds, eq_lower, eq_upper, structural, consistent,
+    heavy = not regular and is_heavy_independent(g)
+    return _bounded_report(
+        "sandwich", g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
+        ("regular", regular),
+        ("regular" if regular else "heavy-independent", regular or heavy),
+        tolerance,
     )
 
 
@@ -281,15 +275,11 @@ def check_bicyclic_lower(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Theo
     code = canonical_form(g)
     bridged = code in _bridged_cycle_codes(g.n)
     merged = code in _edge_merged_cycle_codes(g.n)
-    note = "" if g.n >= 6 else "bridged pair needs n >= 6; only merged pairs exist"
-    value = hso(g).hso
-    eq = _close(value, lower, tolerance)
-    holds = value >= lower - _slack(lower, tolerance)
-    tags = [name for name, flag in (("cprime", bridged), ("cdprime", merged)) if flag]
-    return TheoremReport(
-        "bicyclic-lower", g.to_graph6(), g.n, value, lower, None,
-        holds, eq, False, "+".join(tags) if tags else "none",
-        eq == (bridged or merged), note,
+    return _bounded_report(
+        "bicyclic-lower", g, hso(g).hso, lower, None,
+        ("cprime" if bridged else "cdprime", bridged or merged), ("", False),
+        tolerance,
+        "" if g.n >= 6 else "bridged pair needs n >= 6; only merged pairs exist",
     )
 
 
@@ -313,20 +303,13 @@ def check_edge_count_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
     if g.n < 2:
         raise OrderTooSmallError("edge-count bounds need at least one edge")
     dmax, dmin = g.max_degree, g.min_degree
-    m = g.m
-    lower = (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * m
-    upper = (dmax / dmin + SQRT2 - 1.0) * m
     regular = dmax == dmin
-    value = hso(g).hso
-    eq_lower = _close(value, lower, tolerance)
-    eq_upper = _close(value, upper, tolerance)
-    holds = (value >= lower - _slack(lower, tolerance)) and (
-        value <= upper + _slack(upper, tolerance)
-    )
-    consistent = (eq_lower == regular) and (eq_upper == regular)
-    return TheoremReport(
-        "edge-count-bounds", g.to_graph6(), g.n, value, lower, upper,
-        holds, eq_lower, eq_upper, "regular" if regular else "none", consistent,
+    return _bounded_report(
+        "edge-count-bounds", g, hso(g).hso,
+        (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * g.m,
+        (dmax / dmin + SQRT2 - 1.0) * g.m,
+        ("regular", regular), ("regular", regular),
+        tolerance,
     )
 
 
@@ -354,16 +337,10 @@ def check_lemma_edge_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
         lo_deg, hi_deg = min(du, dv), max(du, dv)
         term = edge_term(du, dv)
         for cap in caps:
-            if lo_deg == 1:
-                lo_bound = SQRT5
-                hi_bound = math.sqrt(cap * cap + 1)
-                pat_lower = hi_deg == 2
-                pat_upper = hi_deg == cap
-            else:
-                lo_bound = SQRT2
-                hi_bound = math.sqrt(cap * cap + 4) / 2.0
-                pat_lower = du == dv
-                pat_upper = hi_deg == cap and lo_deg == 2
+            lo_bound, hi_bound = edge_term_bounds(du, dv, cap)
+            # lower end at (2, 1) or equal degrees; upper end at (cap, 1) or (cap, 2)
+            pat_lower = hi_deg == 2 if lo_deg == 1 else du == dv
+            pat_upper = hi_deg == cap and lo_deg <= 2
             inside = (term >= lo_bound - _slack(lo_bound, tolerance)) and (
                 term <= hi_bound + _slack(hi_bound, tolerance)
             )
@@ -425,44 +402,32 @@ def check_pendant_split_monotone(n: int, grid: int) -> bool:
     return True
 
 
-THEOREM_CHECKERS = {
-    "sandwich": check_sandwich,
-    "tree-bounds": check_tree_bounds,
-    "general-lower": check_general_lower,
-    "unicyclic-bounds": check_unicyclic_bounds,
-    "bicyclic-lower": check_bicyclic_lower,
-    "bicyclic-upper": check_bicyclic_upper,
-    "edge-count-bounds": check_edge_count_bounds,
-    "lemma-edge-bounds": check_lemma_edge_bounds,
-}
+@dataclass(frozen=True)
+class Theorem:
+    """A checked statement: its checker, the class it is stated over, and the
+    least order it is stated for."""
 
-THEOREM_CLASS = {
-    "sandwich": "connected",
-    "tree-bounds": "tree",
-    "general-lower": "connected",
-    "unicyclic-bounds": "unicyclic",
-    "bicyclic-lower": "bicyclic",
-    "bicyclic-upper": "bicyclic",
-    "edge-count-bounds": "connected",
-    "lemma-edge-bounds": "connected",
-}
+    checker: Callable[[Graph, float], TheoremReport]
+    graph_class: str
+    min_n: int
 
-THEOREM_MIN_N = {
-    "sandwich": 2,
-    "tree-bounds": 3,
-    "general-lower": 3,
-    "unicyclic-bounds": 3,
-    "bicyclic-lower": 4,
-    "bicyclic-upper": 4,
-    "edge-count-bounds": 2,
-    "lemma-edge-bounds": 3,
+
+THEOREMS = {
+    "sandwich": Theorem(check_sandwich, "connected", 2),
+    "tree-bounds": Theorem(check_tree_bounds, "tree", 3),
+    "general-lower": Theorem(check_general_lower, "connected", 3),
+    "unicyclic-bounds": Theorem(check_unicyclic_bounds, "unicyclic", 3),
+    "bicyclic-lower": Theorem(check_bicyclic_lower, "bicyclic", 4),
+    "bicyclic-upper": Theorem(check_bicyclic_upper, "bicyclic", 4),
+    "edge-count-bounds": Theorem(check_edge_count_bounds, "connected", 2),
+    "lemma-edge-bounds": Theorem(check_lemma_edge_bounds, "connected", 3),
 }
 
 
 def check_theorem(theorem: str, g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
     """Dispatch a graph to the checker registered under the theorem identifier."""
     try:
-        checker = THEOREM_CHECKERS[theorem]
+        checker = THEOREMS[theorem].checker
     except KeyError:
         raise UnknownCheckError(f"unknown theorem identifier {theorem!r}") from None
     return checker(g, tolerance)

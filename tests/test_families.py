@@ -176,6 +176,19 @@ class TestClosedFormBounds:
             _, hi = closed_form_bound("tree-bounds", n)
             assert abs(hi - closed_form_hso(star(n))) < 1e-12 * max(1.0, hi)
 
+    def test_tree_bounds_n2_is_k2(self):
+        # P2 = S2 = K2, whose HSO is sqrt(2); the path formula for n >= 3
+        # would put the lower bound above the upper one
+        assert closed_form_bound("tree-bounds", 2) == (math.sqrt(2), math.sqrt(2))
+
+    def test_lower_never_above_upper(self):
+        for theorem, least in (("tree-bounds", 2), ("general-lower", 3),
+                               ("unicyclic-bounds", 3), ("bicyclic-lower", 4),
+                               ("bicyclic-upper", 4)):
+            for n in range(least, 31):
+                lo, hi = closed_form_bound(theorem, n)
+                assert lo is None or hi is None or lo <= hi, (theorem, n)
+
     def test_unknown_theorem(self):
         with pytest.raises(UnknownTheoremError):
             closed_form_bound("no-such-theorem", 5)

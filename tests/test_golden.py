@@ -1,0 +1,72 @@
+"""Golden bytes: sha256 of fixed CLI outputs, pinned across commits.
+
+The other determinism tests compare two runs of the same code; these pin the
+exact bytes, so a refactor that changes any report, float repr, sort order or
+header fails here.  Each digest covers the whole `--out` file.  To re-pin
+after an intended output change, run the case and paste the new digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from hsograph.cli import EXIT_OK, main
+
+GOLDEN = {
+    # verify <check> --format csv: connected checks at n = 3..6, class
+    # checks up to n = 8
+    ("verify", "sandwich", "--n", "3..6"):
+        "744441f98955428110245e1ae371a2a739c368f8ad8c75b82d816c1242084513",
+    ("verify", "general-lower", "--n", "3..6"):
+        "ad69f6865089229ef0e55933225d317068596f410901cb2108f9ec86a7e584d4",
+    ("verify", "edge-count-bounds", "--n", "3..6"):
+        "9894b68ce379af8d280fd90267fd8f425130bfdd5aef885303853fc1366f634d",
+    ("verify", "lemma-edge-bounds", "--n", "3..6"):
+        "df2dc91fe8ef439d45aa7cba49c21a31db3787839c963bf7ae8690032cb412ec",
+    ("verify", "tree-bounds", "--n", "3..8"):
+        "18ac1641e78c3c4013147c4f811b30b54f7fe227b25ae0e78550ca4c71e0d9ea",
+    ("verify", "unicyclic-bounds", "--n", "3..8"):
+        "265379cfea41079ee9f53d5e39a16cf98733cddd9072a32f5d40ebc839eb81bb",
+    ("verify", "bicyclic-lower", "--n", "4..8"):
+        "4fc87aac4f4245e20d405022de010d5cfc68c79fcd6293fb63fdd2ba6bb9364c",
+    ("verify", "bicyclic-upper", "--n", "4..8"):
+        "47cf646bef536f29eb8b2c16f96c8f468f09367d9686c2a9b3e42acd8e636d6c",
+    ("verify", "f-monotone", "--n", "5..40"):
+        "adfe21bb1e9d69649ec63cfc158f17f952d73dabcd6659b85fe92e570d930819",
+    # search --format json
+    ("search", "extremal-table", "--class", "tree", "--n", "2..8"):
+        "e9f306fbdb9f9ac2bfb270cd1b7792eadc7eec219796010b17a94487a6c490fa",
+    ("search", "extremal-table", "--class", "unicyclic", "--n", "3..8"):
+        "acb082076e26721b9b9e7886fd5516eadd5b625fe1b9aeafca2f2e03b344dc83",
+    ("search", "extremal-table", "--class", "bicyclic", "--n", "4..8"):
+        "5d0e7f2fed3437a3e151dc3fac113c9dc5e2694d0d4ed2307afda4b589c77511",
+    ("search", "extremal-table", "--class", "connected", "--n", "3..6"):
+        "3654e9aa0bb7bb2a93504ec1419b11c2a22a30fbf249103f36f9545078772c3e",
+    ("search", "conjecture", "--n", "4..6"):
+        "456e398d3cd6c5656cacaed5d39b4f66e7742853f0c234a53b99e6a084a4258b",
+}
+
+_FORMAT = {"verify": "csv", "search": "json"}
+
+
+def _digest(argv, tmp_path, jobs: int) -> str:
+    out = tmp_path / "out"
+    code = main([*argv, "--format", _FORMAT[argv[0]], "--jobs", str(jobs), "--out", str(out)])
+    assert code == EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_bytes(argv, tmp_path):
+    assert _digest(argv, tmp_path, jobs=1) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "sandwich", "--n", "3..6"),
+    ("search", "extremal-table", "--class", "connected", "--n", "3..6"),
+], ids=" ".join)
+def test_golden_bytes_with_workers(argv, tmp_path):
+    """The worker pool leaves every byte as the serial run writes it."""
+    assert _digest(argv, tmp_path, jobs=2) == GOLDEN[argv]
