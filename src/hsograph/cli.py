@@ -18,7 +18,7 @@ import time
 from functools import partial
 
 from . import __version__
-from .enumeration import graphs_in_class
+from .enumeration import connected_graphs_with_edges, graphs_in_class
 from .families import InvalidParametersError, build, parse_family
 from .graph import Graph, GraphError, parse_graph6
 from .indices import hso
@@ -389,13 +389,13 @@ def cmd_search(args) -> int:
 
 def cmd_enumerate(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
-    _check_large(args.graph_class, n_hi, args.allow_large)
+    # --edges streams connected graphs whatever --class says
+    graph_class = "connected" if args.edges is not None else args.graph_class
+    _check_large(graph_class, n_hi, args.allow_large)
     count = 0
     lines = []
     for n in range(n_lo, n_hi + 1):
         if args.edges is not None:
-            from .enumeration import connected_graphs_with_edges
-
             stream = connected_graphs_with_edges(n, args.edges)
         else:
             stream = graphs_in_class(args.graph_class, n)

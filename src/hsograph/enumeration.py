@@ -1,11 +1,14 @@
 """Exhaustive enumeration of small graphs, one representative per isomorphism class.
 
-Generation is level-by-level vertex augmentation with canonical-form
-deduplication: every representative on n-1 vertices is extended by a new
-vertex joined to every subset of the old vertices, and canonical codes weed
-out repeats.  Intermediate levels keep disconnected graphs (a connected
-graph minus a vertex need not be connected); connectivity is filtered at
-the end.  Trees get a cheaper dedicated chain that only attaches leaves.
+Every level is built the same way: one-step augmentation of the level
+below, then canonical-form deduplication (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  All graphs on n vertices come from
+those on n-1 plus a new vertex joined to every subset of the old ones;
+disconnected graphs stay in these levels (a connected graph minus a vertex
+need not be connected) and connectivity is filtered at the end.  Trees come
+from trees plus a leaf.  Connected graphs with m edges come from those with
+m-1 edges plus one non-edge, starting at the trees: removing a cycle edge
+keeps a graph connected, so every one of them is reached.
 
 Streams are deterministic: each level is sorted by canonical code and every
 emitted graph is already in its canonical labeling, so repeated runs yield
@@ -26,83 +29,76 @@ from .graph import (
 
 TREE_MAX_N = 12
 CONNECTED_MAX_N = 9
-EDGE_CONSTRAINED_MAX_N = 9  # n = 10 additionally allowed while m <= 10
 
 
 class InfeasibleEdgeCountError(ValueError):
     pass
 
 
-def _single_vertex():
-    return (Graph(1, (0,)),)
-
-
-def _augment(parents, edge_cap):
-    """All graphs obtained by adding one vertex to the parents, deduplicated.
-
-    edge_cap, when given, discards children with more than edge_cap edges;
-    the surviving levels then contain every graph with at most edge_cap
-    edges because deleting a vertex never increases the edge count.
-    """
+def _distinct(n, candidates):
+    """The first graph per canonical code among row tuples on n vertices,
+    each in its canonical labeling, sorted by code."""
     found = {}
+    for rows in candidates:
+        code, order = _canonical_code_order(rows, n)
+        if code not in found:
+            found[code] = Graph(n, _relabel_rows(rows, order))
+    return tuple(found[code] for code in sorted(found))
+
+
+def _with_new_vertex(parents, leaf_only):
+    """Rows of each parent plus a last vertex joined to every neighbour mask,
+    or to each single old vertex when leaf_only is set."""
     for parent in parents:
         old_n = parent.n
-        n = old_n + 1
         top = 1 << old_n
-        base = parent.rows
-        budget = None if edge_cap is None else edge_cap - parent.m
-        if budget is not None and budget < 0:
-            continue
-        for mask in range(1 << old_n):
-            if budget is not None and mask.bit_count() > budget:
-                continue
-            rows = list(base)
+        masks = (1 << v for v in range(old_n)) if leaf_only else range(1 << old_n)
+        for mask in masks:
+            rows = list(parent.rows)
             rows.append(mask)
             rest = mask
             while rest:
                 low = rest & -rest
                 rows[low.bit_length() - 1] |= top
                 rest ^= low
-            rows = tuple(rows)
-            code, order = _canonical_code_order(rows, n)
-            if code not in found:
-                found[code] = Graph(n, _relabel_rows(rows, order))
-    return tuple(found[code] for code in sorted(found))
+            yield tuple(rows)
+
+
+def _with_new_edge(parents):
+    """Rows of each parent plus one of its non-edges."""
+    for parent in parents:
+        base = parent.rows
+        for u in range(parent.n):
+            for v in range(u + 1, parent.n):
+                if not base[u] >> v & 1:
+                    rows = list(base)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    yield tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _all_level(n):
     """All graphs on n vertices (connected or not), canonical and sorted."""
     if n == 1:
-        return _single_vertex()
-    return _augment(_all_level(n - 1), None)
-
-
-@lru_cache(maxsize=None)
-def _budget_level(n, edge_cap):
-    """All graphs on n vertices with at most edge_cap edges."""
-    if n == 1:
-        return _single_vertex()
-    return _augment(_budget_level(n - 1, edge_cap), edge_cap)
+        return (Graph(1, (0,)),)
+    return _distinct(n, _with_new_vertex(_all_level(n - 1), leaf_only=False))
 
 
 @lru_cache(maxsize=None)
 def _tree_level(n):
     """All free trees on n vertices via leaf attachment."""
     if n == 1:
-        return _single_vertex()
-    found = {}
-    for parent in _tree_level(n - 1):
-        top = 1 << parent.n
-        for v in range(parent.n):
-            rows = list(parent.rows)
-            rows[v] |= top
-            rows.append(1 << v)
-            rows = tuple(rows)
-            code, order = _canonical_code_order(rows, n)
-            if code not in found:
-                found[code] = Graph(n, _relabel_rows(rows, order))
-    return tuple(found[code] for code in sorted(found))
+        return (Graph(1, (0,)),)
+    return _distinct(n, _with_new_vertex(_tree_level(n - 1), leaf_only=True))
+
+
+@lru_cache(maxsize=None)
+def _edge_level(n, m):
+    """All connected graphs on n vertices with m >= n - 1 edges."""
+    if m == n - 1:
+        return _tree_level(n)
+    return _distinct(n, _with_new_edge(_edge_level(n, m - 1)))
 
 
 def trees(n: int):
@@ -133,14 +129,9 @@ def connected_graphs_with_edges(n: int, m: int):
         raise InfeasibleEdgeCountError(
             f"no connected graph on {n} vertices has {m} edges"
         )
-    if n > EDGE_CONSTRAINED_MAX_N and not (n == EDGE_CONSTRAINED_MAX_N + 1 and m <= 10):
-        raise OrderTooLargeError(
-            f"edge-constrained enumeration supports n <= {EDGE_CONSTRAINED_MAX_N} "
-            f"(n = {EDGE_CONSTRAINED_MAX_N + 1} only for m <= 10)"
-        )
-    for g in _budget_level(n, m):
-        if g.m == m and g.is_connected():
-            yield g
+    if n > TREE_MAX_N:
+        raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}")
+    yield from _edge_level(n, m)
 
 
 def unicyclic_graphs(n: int):

@@ -202,6 +202,8 @@ _EXPECTED_EXTREME = {
 
 
 def _min_matches(graph_class: str, n: int, code) -> bool:
+    if n <= 2:
+        return True  # K1 or K2 is the only connected graph, so both extremes
     if graph_class == "bicyclic":
         return code in _bridged_cycle_codes(n) or code in _edge_merged_cycle_codes(n)
     kinds = _EXPECTED_EXTREME[graph_class][0]

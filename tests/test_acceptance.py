@@ -131,8 +131,8 @@ def test_criterion_2_tree_theorem():
 
 
 def test_criterion_3_unicyclic_theorem():
-    with _Criterion(3, 120, "unicyclic bounds exhaustive 3 <= n <= 9"):
-        for n in range(3, 10):
+    with _Criterion(3, 120, "unicyclic bounds exhaustive 3 <= n <= 10"):
+        for n in range(3, 11):
             summary, reports = run_verify_campaign("unicyclic-bounds", n, n)
             assert summary.graphs_examined == oracles.unicyclic_count(n)
             assert not summary.violations
@@ -152,8 +152,8 @@ def test_criterion_3_unicyclic_theorem():
 
 
 def test_criterion_4_bicyclic_theorems():
-    with _Criterion(4, 600, "bicyclic bounds exhaustive 4 <= n <= 9 with exact witnesses"):
-        for n in range(4, 10):
+    with _Criterion(4, 600, "bicyclic bounds exhaustive 4 <= n <= 10 with exact witnesses"):
+        for n in range(4, 11):
             lo_summary, _ = run_verify_campaign("bicyclic-lower", n, n)
             hi_summary, _ = run_verify_campaign("bicyclic-upper", n, n)
             expected_count = oracles.bicyclic_count(n)

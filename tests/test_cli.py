@@ -142,6 +142,12 @@ class TestSearch:
         assert doc["summary"]["violations"] == []
         assert set(doc["summary"]["extremal_min"]) == {"3", "4", "5", "6"}
 
+    def test_extremal_table_small_orders(self):
+        # K1 and K2 are the only connected graphs at n = 1, 2: no cycle to match
+        assert run_cli("search", "extremal-table", "--class", "connected", "--n", "1") == EXIT_OK
+        assert run_cli("search", "extremal-table", "--class", "connected",
+                       "--n", "2..6") == EXIT_OK
+
 
 class TestEnumerate:
     def test_tree_counts(self, tmp_path, capsys):
@@ -169,6 +175,13 @@ class TestEnumerate:
 
     def test_large_needs_flag(self):
         assert run_cli("enumerate", "--class", "connected", "--n", "9") == EXIT_USAGE
+
+    def test_edges_gated_as_connected(self, capsys):
+        # --edges streams connected graphs, so --class tree does not lift the gate
+        assert run_cli("enumerate", "--class", "tree", "--n", "9", "--edges", "8") == EXIT_USAGE
+        assert run_cli("enumerate", "--class", "tree", "--n", "9", "--edges", "8",
+                       "--allow-large") == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 47
 
     def test_bad_path(self, tmp_path):
         assert run_cli("enumerate", "--class", "tree", "--n", "5",

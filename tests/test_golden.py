@@ -48,14 +48,25 @@ GOLDEN = {
         "456e398d3cd6c5656cacaed5d39b4f66e7742853f0c234a53b99e6a084a4258b",
 }
 
+# enumerate: the graph6 streams of the classes the paper's new bounds cover
+GOLDEN_STREAMS = {
+    ("enumerate", "--class", "unicyclic", "--n", "9"):
+        "144310df0b6c2b595037d9fa161ee4ba9bf83458e0d7c0b5b2cc3192102be75c",
+    ("enumerate", "--class", "bicyclic", "--n", "9"):
+        "dbc3d8f3e9ce6dcd89a7ec8e31a0051b184a8bb2fefa16ee34b810320bc8946a",
+}
+
 _FORMAT = {"verify": "csv", "search": "json"}
 
 
-def _digest(argv, tmp_path, jobs: int) -> str:
+def _out_digest(argv, tmp_path) -> str:
     out = tmp_path / "out"
-    code = main([*argv, "--format", _FORMAT[argv[0]], "--jobs", str(jobs), "--out", str(out)])
-    assert code == EXIT_OK
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _digest(argv, tmp_path, jobs: int) -> str:
+    return _out_digest([*argv, "--format", _FORMAT[argv[0]], "--jobs", str(jobs)], tmp_path)
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
@@ -70,3 +81,8 @@ def test_golden_bytes(argv, tmp_path):
 def test_golden_bytes_with_workers(argv, tmp_path):
     """The worker pool leaves every byte as the serial run writes it."""
     assert _digest(argv, tmp_path, jobs=2) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STREAMS), ids=" ".join)
+def test_golden_streams(argv, tmp_path):
+    assert _out_digest(argv, tmp_path) == GOLDEN_STREAMS[argv]

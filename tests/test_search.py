@@ -9,6 +9,7 @@ import pytest
 from hsograph.families import build, closed_form_hso, cycle, path, sdprime, sprime, star
 from hsograph.graph import OrderTooLargeError, canonical_form, parse_graph6
 from hsograph.search import (
+    _min_matches,
     check_conjecture_star_max,
     extremal_table,
     find_monotonicity_counterexamples,
@@ -142,6 +143,15 @@ class TestExtremalTable:
             max_g6, _ = summary.extremal_max[n]
             assert canonical_form(parse_graph6(min_g6)) == canonical_form(build(cycle(n)))
             assert canonical_form(parse_graph6(max_g6)) == canonical_form(build(star(n)))
+
+    def test_connected_from_order_one(self):
+        summary = extremal_table("connected", 1, 6)
+        assert not summary.violations
+        # K1 and K2 are the only connected graphs of their orders
+        assert summary.extremal_min[1] == summary.extremal_max[1] == ("@", 0.0)
+        assert summary.extremal_min[2] == summary.extremal_max[2] == ("A_", math.sqrt(2))
+        # from n = 3 on, only the cycle passes as the minimum
+        assert not _min_matches("connected", 4, canonical_form(build(path(4))))
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
