@@ -27,7 +27,7 @@ from .search import (
     check_conjecture_star_max,
     extremal_table,
     find_monotonicity_counterexamples,
-    parallel_map,
+    sweep,
     witnesses_with_delta,
 )
 from .verify import (
@@ -49,6 +49,8 @@ VERIFY_CHECKS = tuple(THEOREMS) + (PENDANT_SPLIT_CHECK,)
 GRAPH_CLASSES = ("tree", "unicyclic", "bicyclic", "connected")
 
 _TOOL = f"hsograph {__version__}"
+_JOBS_HELP = ("worker processes for the per-graph checks, one pool per campaign; "
+             "enumeration stays serial (default: HSO_JOBS or 1)")
 
 
 class UsageError(ValueError):
@@ -101,15 +103,22 @@ def _header_lines(meta: dict) -> str:
 
 
 def _write_text(path, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+
+
+def _csv_text(meta: dict, header, rows) -> str:
+    buf = io.StringIO()
+    buf.write(_header_lines(meta) + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _render_reports(reports: list[TheoremReport], fmt: str, meta: dict) -> str:
@@ -117,13 +126,7 @@ def _render_reports(reports: list[TheoremReport], fmt: str, meta: dict) -> str:
         doc = {"tool": _TOOL, **meta, "reports": [r.to_dict() for r in reports]}
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(_header_lines(meta) + "\n")
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(r.csv_row())
-        return buf.getvalue()
+        return _csv_text(meta, CSV_COLUMNS, (r.csv_row() for r in reports))
     lines = [_header_lines(meta)]
     for r in reports:
         lines.append(
@@ -140,16 +143,12 @@ def _render_witnesses(witnesses, fmt: str, meta: dict) -> str:
         doc = {"tool": _TOOL, **meta, "witnesses": [w.to_dict() for w in witnesses]}
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(_header_lines(meta) + "\n")
-        writer = csv.writer(buf)
-        writer.writerow(["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta"])
-        for w in witnesses:
-            writer.writerow(
-                [w.graph6_before, w.graph6_after, w.added_edge[0], w.added_edge[1],
-                 repr(w.hso_before), repr(w.hso_after), repr(w.delta)]
-            )
-        return buf.getvalue()
+        header = ["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta"]
+        return _csv_text(meta, header, (
+            [w.graph6_before, w.graph6_after, w.added_edge[0], w.added_edge[1],
+             repr(w.hso_before), repr(w.hso_after), repr(w.delta)]
+            for w in witnesses
+        ))
     # two-column interchange format: before after
     lines = [_header_lines(meta)]
     lines.extend(w.pair_line() for w in witnesses)
@@ -161,16 +160,13 @@ def _render_summary(summary: CampaignSummary, fmt: str, meta: dict) -> str:
         doc = {"tool": _TOOL, **meta, "summary": summary.to_dict(include_timing=False)}
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(_header_lines(meta) + "\n")
-        writer = csv.writer(buf)
-        writer.writerow(["n", "min_graph6", "min_value", "max_graph6", "max_value"])
+        rows = []
         for n in sorted(set(summary.extremal_min) | set(summary.extremal_max)):
             lo = summary.extremal_min.get(n, ("", ""))
             hi = summary.extremal_max.get(n, ("", ""))
-            writer.writerow([n, lo[0], repr(lo[1]) if lo[1] != "" else "",
-                             hi[0], repr(hi[1]) if hi[1] != "" else ""])
-        return buf.getvalue()
+            rows.append([n, lo[0], repr(lo[1]) if lo[1] != "" else "",
+                         hi[0], repr(hi[1]) if hi[1] != "" else ""])
+        return _csv_text(meta, ["n", "min_graph6", "min_value", "max_graph6", "max_value"], rows)
     lines = [_header_lines(meta)]
     lines.append(
         f"{summary.label} class={summary.graph_class} n={summary.n_lo}..{summary.n_hi} "
@@ -204,9 +200,9 @@ def run_verify_campaign(
 ) -> tuple[CampaignSummary, list[TheoremReport]]:
     """Sweep a theorem checker over every graph of the class in the order range.
 
-    Returns the campaign summary plus the per-graph reports sorted by
-    (order, graph6).  Parallel runs partition each order's stream into
-    contiguous chunks; the final sort makes worker count invisible.
+    Returns the campaign summary plus the per-graph reports in stream order,
+    which is (order, graph6) order at any worker count.  check_theorem and
+    graphs_in_class are looked up in this module when the campaign runs.
     """
     start = time.perf_counter()
     if theorem == PENDANT_SPLIT_CHECK:
@@ -230,26 +226,17 @@ def run_verify_campaign(
     _check_large(cls, n_hi, allow_large)
 
     summary = CampaignSummary(f"verify:{theorem}", cls, n_lo, n_hi)
-    reports: list[TheoremReport] = []
     check = partial(check_theorem, theorem, tolerance=tolerance)
-    for n in range(n_lo, n_hi + 1):
-        reports.extend(parallel_map(check, list(graphs_in_class(cls, n)), jobs))
-    reports.sort(key=lambda r: (r.n, r.graph6))
-
+    levels = ((n, graphs_in_class(cls, n)) for n in range(n_lo, n_hi + 1))
+    reports = [r for _, _, level in sweep(check, levels, jobs) for r in level]
+    summary.graphs_examined = len(reports)
     for r in reports:
-        summary.graphs_examined += 1
         if not (r.holds and r.consistent):
             summary.violations.append(r.to_dict())
         if r.equality_lower:
             summary.eq_lower_witnesses.setdefault(r.n, []).append(r.graph6)
         if r.equality_upper:
             summary.eq_upper_witnesses.setdefault(r.n, []).append(r.graph6)
-        cur_min = summary.extremal_min.get(r.n)
-        if cur_min is None or r.value < cur_min[1]:
-            summary.extremal_min[r.n] = (r.graph6, r.value)
-        cur_max = summary.extremal_max.get(r.n)
-        if cur_max is None or r.value > cur_max[1]:
-            summary.extremal_max[r.n] = (r.graph6, r.value)
     summary.wall_time = time.perf_counter() - start
     return summary, reports
 
@@ -392,25 +379,15 @@ def cmd_enumerate(args) -> int:
     # --edges streams connected graphs whatever --class says
     graph_class = "connected" if args.edges is not None else args.graph_class
     _check_large(graph_class, n_hi, args.allow_large)
-    count = 0
     lines = []
     for n in range(n_lo, n_hi + 1):
         if args.edges is not None:
             stream = connected_graphs_with_edges(n, args.edges)
         else:
             stream = graphs_in_class(args.graph_class, n)
-        for g in stream:
-            lines.append(g.to_graph6())
-            count += 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
-    else:
-        for line in lines:
-            print(line)
-    print(count, file=sys.stderr)
+        lines.extend(g.to_graph6() for g in stream)
+    _write_text(args.out, "\n".join(lines))
+    print(len(lines), file=sys.stderr)
     return EXIT_OK
 
 
@@ -436,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the check's default graph class")
     p_verify.add_argument("--grid", type=int, default=1000, help="grid size for f-monotone")
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.add_argument("--out", help="write per-graph reports to this path")
     p_verify.add_argument("--allow-large", action="store_true", help="enable n = 9 sweeps")
@@ -450,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--target-delta", type=float, default=None,
                           help="monotonicity: keep witnesses with this exact HSO drop")
     p_search.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p_search.add_argument("--jobs", type=int, default=None)
+    p_search.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_search.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_search.add_argument("--out", help="write witnesses/tables to this path")
     p_search.add_argument("--allow-large", action="store_true")

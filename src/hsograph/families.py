@@ -29,21 +29,6 @@ from dataclasses import dataclass, field
 from .graph import Graph, from_edge_list
 from .indices import SQRT2, SQRT5
 
-KINDS = (
-    "path",
-    "star",
-    "cycle",
-    "complete",
-    "tripend",
-    "sprime",
-    "cprime",
-    "cdprime",
-    "c33",
-    "sdprime",
-)
-
-SINGLE_PARAM_KINDS = ("path", "star", "cycle", "complete", "sprime", "c33", "sdprime")
-
 _MIN_ORDER = {
     "path": 1,
     "star": 1,
@@ -56,6 +41,7 @@ _MIN_ORDER = {
     "c33": 5,
     "sdprime": 4,
 }
+KINDS = tuple(_MIN_ORDER)
 
 
 class InvalidParametersError(ValueError):

@@ -8,6 +8,8 @@ per-order extremal tables cross-checked against the characterized families.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -83,25 +85,29 @@ class CampaignSummary:
         return out
 
 
-def _map_chunk(args):
-    fn, g6_list = args
-    return [fn(parse_graph6(s)) for s in g6_list]
+def sweep(fn, levels, jobs: int = 1):
+    """Yield (n, graphs, [fn(g) for g in graphs]) for each (n, stream) in levels.
 
-
-def parallel_map(fn, graphs, jobs: int) -> list:
-    """fn of each graph, in stream order.
-
-    With several jobs and enough graphs, workers take contiguous chunks of
-    the graph6 strings, so fn must pickle: a module-level function or a
-    functools.partial of one.
+    With several jobs one worker pool serves every level; each level goes to
+    the workers in contiguous chunks and comes back in stream order, so fn
+    must pickle: a module-level function or a functools.partial of one.
     """
-    if jobs <= 1 or len(graphs) < 4 * jobs:
-        return [fn(g) for g in graphs]
-    g6s = [g.to_graph6() for g in graphs]
-    size = (len(g6s) + jobs - 1) // jobs
-    chunks = [(fn, g6s[i:i + size]) for i in range(0, len(g6s), size)]
-    with multiprocessing.Pool(jobs) as pool:
-        return [out for part in pool.map(_map_chunk, chunks) for out in part]
+    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for n, stream in levels:
+            graphs = list(stream)
+            if pool is None:
+                values = [fn(g) for g in graphs]
+            else:
+                values = pool.map(fn, graphs, chunksize=math.ceil(len(graphs) / jobs))
+            yield n, graphs, values
+
+
+def _extremes(graphs, values):
+    """(graph, value) of the first minimum and of the first maximum, in stream order."""
+    lo = min(range(len(values)), key=values.__getitem__)
+    hi = max(range(len(values)), key=values.__getitem__)
+    return (graphs[lo], values[lo]), (graphs[hi], values[hi])
 
 
 def _hso_value(g) -> float:
@@ -172,19 +178,14 @@ def check_conjecture_star_max(
     star_value = closed_form_hso(star_spec)
     star_code = canonical_form(build(star_spec))
     summary = CampaignSummary("search:conjecture", "connected", n, n)
-    graphs = list(connected_graphs(n))
-    values = parallel_map(_hso_value, graphs, jobs)
-    best_value = None
-    best_graph = None
+    ((_, graphs, values),) = sweep(_hso_value, [(n, connected_graphs(n))], jobs)
+    summary.graphs_examined = len(graphs)
     for g, value in zip(graphs, values):
-        summary.graphs_examined += 1
-        if best_value is None or value > best_value:
-            best_value = value
-            best_graph = g
         if value > star_value + tolerance * max(1.0, star_value):
             summary.violations.append(
                 {"graph6": g.to_graph6(), "value": value, "star_value": star_value}
             )
+    _, (best_graph, best_value) = _extremes(graphs, values)
     summary.extremal_max[n] = (best_graph.to_graph6(), best_value)
     summary.details["star_value"] = star_value
     summary.details["maximizer_is_star"] = canonical_form(best_graph) == star_code
@@ -226,29 +227,19 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
         raise ValueError(f"unknown graph class {graph_class!r}")
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
-    for n in range(n_lo, n_hi + 1):
-        lo_value = hi_value = None
-        lo_graph = hi_graph = None
-        graphs = list(graphs_in_class(graph_class, n))
-        values = parallel_map(_hso_value, graphs, jobs)
-        for g, value in zip(graphs, values):
-            summary.graphs_examined += 1
-            if lo_value is None or value < lo_value:
-                lo_value, lo_graph = value, g
-            if hi_value is None or value > hi_value:
-                hi_value, hi_graph = value, g
-        if lo_graph is None:
-            continue
-        summary.extremal_min[n] = (lo_graph.to_graph6(), lo_value)
-        summary.extremal_max[n] = (hi_graph.to_graph6(), hi_value)
-        if not _min_matches(graph_class, n, canonical_form(lo_graph)):
-            summary.violations.append(
-                {"n": n, "side": "min", "graph6": lo_graph.to_graph6(), "value": lo_value}
-            )
-        if not _max_matches(graph_class, n, canonical_form(hi_graph)):
-            summary.violations.append(
-                {"n": n, "side": "max", "graph6": hi_graph.to_graph6(), "value": hi_value}
-            )
+    levels = ((n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1))
+    for n, graphs, values in sweep(_hso_value, levels, jobs):
+        summary.graphs_examined += len(graphs)
+        lo, hi = _extremes(graphs, values)
+        for side, (g, value), matches, table in (
+            ("min", lo, _min_matches, summary.extremal_min),
+            ("max", hi, _max_matches, summary.extremal_max),
+        ):
+            table[n] = (g.to_graph6(), value)
+            if not matches(graph_class, n, canonical_form(g)):
+                summary.violations.append(
+                    {"n": n, "side": side, "graph6": g.to_graph6(), "value": value}
+                )
     summary.wall_time = time.perf_counter() - start
     return summary
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hsograph.cli import (
     run_verify_campaign,
 )
 from hsograph.graph import parse_graph6
+from hsograph.search import extremal_table
 
 
 def run_cli(*argv):
@@ -211,6 +213,30 @@ class TestDeterminismAndParallel:
         assert summary.graphs_examined == 1 + 2 + 3 + 6 + 11
         assert len(reports) == summary.graphs_examined
         assert not summary.violations
+
+    def test_one_pool_per_campaign(self, monkeypatch):
+        opened = []
+        real_pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            opened.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+
+        def verify(jobs):
+            summary, reports = run_verify_campaign("sandwich", 2, 6, jobs=jobs)
+            return summary.to_dict(include_timing=False), reports
+
+        def table(jobs):
+            return extremal_table("connected", 3, 6, jobs=jobs).to_dict(include_timing=False)
+
+        for campaign in (verify, table):
+            opened.clear()
+            serial = campaign(1)
+            assert opened == []
+            assert campaign(2) == serial
+            assert opened == [(2,)]
 
 
 class TestSubprocessEntry:

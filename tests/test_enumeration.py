@@ -91,8 +91,13 @@ class TestStreamProperties:
             assert len(codes) == len(set(codes))
 
     def test_emitted_in_canonical_labeling_and_sorted(self):
-        for n in range(2, 8):
-            graphs = list(connected_graphs(n))
+        # verify campaigns report graphs in stream order, which rests on this
+        streams = [connected_graphs(n) for n in range(2, 8)]
+        streams += [trees(n) for n in range(1, 11)]
+        streams += [unicyclic_graphs(n) for n in range(3, 10)]
+        streams += [bicyclic_graphs(n) for n in range(4, 10)]
+        for stream in streams:
+            graphs = list(stream)
             codes = [canonical_form(g).code for g in graphs]
             assert codes == sorted(codes)
             g6s = [g.to_graph6() for g in graphs]
