@@ -24,7 +24,7 @@ from .graph import Graph, GraphError, parse_graph6
 from .indices import hso
 from .search import (
     CampaignSummary,
-    check_conjecture_star_max,
+    conjecture_sweep,
     extremal_table,
     find_monotonicity_counterexamples,
     sweep,
@@ -49,7 +49,7 @@ VERIFY_CHECKS = tuple(THEOREMS) + (PENDANT_SPLIT_CHECK,)
 GRAPH_CLASSES = ("tree", "unicyclic", "bicyclic", "connected")
 
 _TOOL = f"hsograph {__version__}"
-_JOBS_HELP = ("worker processes for the per-graph checks, one pool per campaign; "
+_JOBS_HELP = ("worker processes for the per-graph work, one pool per campaign; "
              "enumeration stays serial (default: HSO_JOBS or 1)")
 
 
@@ -220,6 +220,9 @@ def run_verify_campaign(
     if theorem not in THEOREMS:
         raise UsageError(f"unknown check {theorem!r}; expected one of {', '.join(VERIFY_CHECKS)}")
     record = THEOREMS[theorem]
+    if graph_class and record.graph_class not in ("connected", graph_class):
+        raise UsageError(f"{theorem} is stated over {record.graph_class} graphs, "
+                         f"not over --class {graph_class}")
     cls = graph_class or record.graph_class
     if n_lo < record.min_n:
         raise UsageError(f"{theorem} is stated for n >= {record.min_n}")
@@ -333,7 +336,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     tolerance = _check_tolerance(args.tolerance)
     if args.kind == "monotonicity":
-        witnesses = find_monotonicity_counterexamples(args.n_max, tolerance)
+        witnesses = find_monotonicity_counterexamples(args.n_max, tolerance, args.jobs)
         if args.target_delta is not None:
             witnesses = witnesses_with_delta(witnesses, args.target_delta, tolerance)
         meta = {"check": "monotonicity", "tolerance": tolerance, "n_max": args.n_max}
@@ -347,8 +350,8 @@ def cmd_search(args) -> int:
         _check_large("connected", n_hi, args.allow_large)
         exit_code = EXIT_OK
         outputs = []
-        for n in range(n_lo, n_hi + 1):
-            summary = check_conjecture_star_max(n, tolerance, jobs=args.jobs)
+        for summary in conjecture_sweep(n_lo, n_hi, tolerance, args.jobs):
+            n = summary.n_lo
             meta = {"check": "conjecture-star-max", "tolerance": tolerance, "n": n}
             outputs.append(_render_summary(summary, args.format, meta))
             if summary.violations:

@@ -1,4 +1,5 @@
-"""Named extremal graph families: constructors and closed-form HSO values.
+"""Named extremal graph families: constructors, closed-form HSO values and
+a recognizer that decides membership from degrees.
 
 Each family has a fixed labeling convention (hub and cycle vertices first,
 pendants last) so serialized output is reproducible byte for byte.  The
@@ -188,6 +189,35 @@ def build(spec: FamilySpec) -> Graph:
         edges += [(0, i) for i in range(4, n)]
         return from_edge_list(n, edges)
     raise InvalidParametersError(f"unknown family kind {kind!r}")
+
+
+def is_member(g: Graph, kind: str) -> bool:
+    """True when g is isomorphic to a member of the family kind.
+
+    Decided from degrees and connectivity alone, so it works at any order.
+    path, star, cycle, sprime and sdprime have one member per order;
+    cprime and cdprime stand for every pair of cycle lengths.
+    """
+    n, m, degs = g.n, g.m, g.degrees
+    top = max(degs)
+    if kind == "path":
+        return m == n - 1 and top <= 2 and g.is_connected()
+    if kind == "star":
+        return m == n - 1 and top == n - 1
+    if kind == "cycle":
+        return n >= 3 and top == 2 == min(degs) and g.is_connected()
+    if kind == "sprime":
+        return n >= 3 and m == n and top == n - 1
+    if kind == "sdprime":
+        return n >= 4 and m == n + 1 and sorted(degs)[-2:] == [3, n - 1]
+    if kind in ("cprime", "cdprime"):
+        # degrees {3, 3, 2, ...} with the two 3s adjacent: two cycles sharing
+        # the edge between them (cdprime) or hanging off its two ends (cprime)
+        if sorted(degs) != [2] * (n - 2) + [3, 3] or not g.is_connected():
+            return False
+        u, v = (w for w in range(n) if degs[w] == 3)
+        return g.has_edge(u, v) and g.remove_edge(u, v).is_connected() == (kind == "cdprime")
+    raise InvalidParametersError(f"no recognizer for family kind {kind!r}")
 
 
 def _triangle_pendants_value(a1: int, a2: int, a3: int) -> float:

@@ -13,12 +13,13 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
-from .families import FamilySpec, build, closed_form_hso
-from .graph import OrderTooLargeError, canonical_form, parse_graph6
+from .families import closed_form_hso, is_member, star
+from .graph import OrderTooLargeError, parse_graph6
 from .indices import hso
 from .enumeration import connected_graphs, graphs_in_class
-from .verify import DEFAULT_TOLERANCE, _family_code, _bridged_cycle_codes, _edge_merged_cycle_codes
+from .verify import DEFAULT_TOLERANCE
 
 MONOTONICITY_MAX_N = 8
 CONJECTURE_MAX_N = 9
@@ -114,8 +115,24 @@ def _hso_value(g) -> float:
     return hso(g).hso
 
 
+def _edge_drops(g, tolerance: float) -> list[MonotonicityWitness]:
+    """Every non-edge uv of g with HSO(g + uv) < HSO(g) - tolerance."""
+    before = hso(g).hso
+    found = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.rows[u] >> v & 1:
+                continue
+            bigger = g.add_edge(u, v)
+            after = hso(bigger).hso
+            if after - before < -tolerance:
+                found.append(MonotonicityWitness(g.to_graph6(), bigger.to_graph6(), (u, v),
+                                                 before, after, after - before))
+    return found
+
+
 def find_monotonicity_counterexamples(
-    n_max: int, tolerance: float = DEFAULT_TOLERANCE
+    n_max: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1
 ) -> list[MonotonicityWitness]:
     """All (connected G, non-edge uv) with HSO(G + uv) < HSO(G) - tolerance,
     over every connected graph with at most n_max vertices.
@@ -128,25 +145,9 @@ def find_monotonicity_counterexamples(
         raise OrderTooLargeError(
             f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}"
         )
-    witnesses = []
-    for n in range(3, n_max + 1):
-        for g in connected_graphs(n):
-            before = hso(g).hso
-            for u in range(n):
-                row = g.rows[u] >> (u + 1)
-                for v in range(u + 1, n):
-                    if row >> (v - u - 1) & 1:
-                        continue
-                    bigger = g.add_edge(u, v)
-                    after = hso(bigger).hso
-                    delta = after - before
-                    if delta < -tolerance:
-                        witnesses.append(
-                            MonotonicityWitness(
-                                g.to_graph6(), bigger.to_graph6(), (u, v),
-                                before, after, delta,
-                            )
-                        )
+    levels = ((n, connected_graphs(n)) for n in range(3, n_max + 1))
+    drops = partial(_edge_drops, tolerance=tolerance)
+    witnesses = [w for _, _, found in sweep(drops, levels, jobs) for ws in found for w in ws]
     # graph6 strings sort exactly like (n, canonical code): the header byte
     # grows with n and body characters compare like the packed bit string
     witnesses.sort(key=lambda w: (w.graph6_before, w.added_edge))
@@ -160,36 +161,41 @@ def witnesses_with_delta(
     return [w for w in witnesses if abs(w.delta - target_delta) <= tolerance]
 
 
+def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1):
+    """Yield one summary per order n_lo..n_hi, each testing whether any
+    connected graph of that order exceeds the star's HSO value.
+
+    One sweep, so one worker pool, serves the whole range.  A graph beating
+    the star would be a major find: it lands in summary.violations and is
+    never silently dropped.
+    """
+    if not 2 <= n_lo <= n_hi <= CONJECTURE_MAX_N:
+        raise OrderTooLargeError(f"conjecture sweep supports 2 <= n <= {CONJECTURE_MAX_N}")
+    start = time.perf_counter()
+    levels = ((n, connected_graphs(n)) for n in range(n_lo, n_hi + 1))
+    for n, graphs, values in sweep(_hso_value, levels, jobs):
+        star_value = closed_form_hso(star(n))
+        summary = CampaignSummary("search:conjecture", "connected", n, n)
+        summary.graphs_examined = len(graphs)
+        for g, value in zip(graphs, values):
+            if value > star_value + tolerance * max(1.0, star_value):
+                summary.violations.append(
+                    {"graph6": g.to_graph6(), "value": value, "star_value": star_value}
+                )
+        _, (best_graph, best_value) = _extremes(graphs, values)
+        summary.extremal_max[n] = (best_graph.to_graph6(), best_value)
+        summary.details["star_value"] = star_value
+        summary.details["maximizer_is_star"] = is_member(best_graph, "star")
+        summary.wall_time = time.perf_counter() - start
+        start = time.perf_counter()
+        yield summary
+
+
 def check_conjecture_star_max(
     n: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1
 ) -> CampaignSummary:
-    """Sweep every connected graph of order n and test whether any exceeds the
-    star's HSO value.
-
-    A graph beating the star would be a major find: it lands in
-    summary.violations and is never silently dropped.
-    """
-    if not 2 <= n <= CONJECTURE_MAX_N:
-        raise OrderTooLargeError(
-            f"conjecture sweep supports 2 <= n <= {CONJECTURE_MAX_N}"
-        )
-    start = time.perf_counter()
-    star_spec = FamilySpec("star", n)
-    star_value = closed_form_hso(star_spec)
-    star_code = canonical_form(build(star_spec))
-    summary = CampaignSummary("search:conjecture", "connected", n, n)
-    ((_, graphs, values),) = sweep(_hso_value, [(n, connected_graphs(n))], jobs)
-    summary.graphs_examined = len(graphs)
-    for g, value in zip(graphs, values):
-        if value > star_value + tolerance * max(1.0, star_value):
-            summary.violations.append(
-                {"graph6": g.to_graph6(), "value": value, "star_value": star_value}
-            )
-    _, (best_graph, best_value) = _extremes(graphs, values)
-    summary.extremal_max[n] = (best_graph.to_graph6(), best_value)
-    summary.details["star_value"] = star_value
-    summary.details["maximizer_is_star"] = canonical_form(best_graph) == star_code
-    summary.wall_time = time.perf_counter() - start
+    """The conjecture sweep at the single order n."""
+    (summary,) = conjecture_sweep(n, n, tolerance, jobs)
     return summary
 
 
@@ -197,23 +203,9 @@ _EXPECTED_EXTREME = {
     # class -> (family kinds attaining the minimum, kinds attaining the maximum)
     "tree": (("path",), ("star",)),
     "unicyclic": (("cycle",), ("sprime",)),
-    "bicyclic": ((), ("sdprime",)),  # minimum handled via the cycle-pair code sets
+    "bicyclic": (("cprime", "cdprime"), ("sdprime",)),
     "connected": (("cycle",), ("star",)),
 }
-
-
-def _min_matches(graph_class: str, n: int, code) -> bool:
-    if n <= 2:
-        return True  # K1 or K2 is the only connected graph, so both extremes
-    if graph_class == "bicyclic":
-        return code in _bridged_cycle_codes(n) or code in _edge_merged_cycle_codes(n)
-    kinds = _EXPECTED_EXTREME[graph_class][0]
-    return any(code == _family_code(kind, n) for kind in kinds)
-
-
-def _max_matches(graph_class: str, n: int, code) -> bool:
-    kinds = _EXPECTED_EXTREME[graph_class][1]
-    return any(code == _family_code(kind, n) for kind in kinds)
 
 
 def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> CampaignSummary:
@@ -225,18 +217,20 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     """
     if graph_class not in _EXPECTED_EXTREME:
         raise ValueError(f"unknown graph class {graph_class!r}")
+    min_kinds, max_kinds = _EXPECTED_EXTREME[graph_class]
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
     levels = ((n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1))
     for n, graphs, values in sweep(_hso_value, levels, jobs):
         summary.graphs_examined += len(graphs)
         lo, hi = _extremes(graphs, values)
-        for side, (g, value), matches, table in (
-            ("min", lo, _min_matches, summary.extremal_min),
-            ("max", hi, _max_matches, summary.extremal_max),
+        for side, (g, value), kinds, table in (
+            ("min", lo, min_kinds, summary.extremal_min),
+            ("max", hi, max_kinds, summary.extremal_max),
         ):
             table[n] = (g.to_graph6(), value)
-            if not matches(graph_class, n, canonical_form(g)):
+            # K1 and K2 are the only connected graphs of their orders
+            if g.n > 2 and not any(is_member(g, kind) for kind in kinds):
                 summary.violations.append(
                     {"n": n, "side": side, "graph6": g.to_graph6(), "value": value}
                 )

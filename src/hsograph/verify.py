@@ -6,6 +6,10 @@ structurally, and reports whether the numeric equality flags agree with the
 structural characterization the statement asserts.  A bound violation or a
 numeric/structural disagreement is a hard failure for the campaigns built
 on top of these.
+
+Family membership is decided by families.is_member from degrees and
+connectivity, with no canonical labeling, so every checker takes any order
+that graph6 can carry (n <= 62).
 """
 
 from __future__ import annotations
@@ -14,16 +18,9 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .families import (
-    FamilySpec,
-    build,
-    cdprime,
-    closed_form_bound,
-    cprime,
-)
-from .graph import BICYCLIC, TREE, UNICYCLIC, Graph, canonical_form
+from .families import closed_form_bound, is_member
+from .graph import BICYCLIC, TREE, UNICYCLIC, Graph
 from .indices import SQRT2, edge_term, edge_term_bounds, hso
 
 logger = logging.getLogger(__name__)
@@ -131,35 +128,6 @@ def _require_connected(g: Graph):
         raise DisconnectedInputError("checker requires a connected graph")
 
 
-@lru_cache(maxsize=None)
-def _family_code(kind: str, n: int):
-    return canonical_form(build(FamilySpec(kind, n)))
-
-
-@lru_cache(maxsize=None)
-def _bridged_cycle_codes(n: int) -> frozenset:
-    """Canonical codes of all cycle-pairs joined by a bridge at order n."""
-    if n < 6:
-        return frozenset()
-    return frozenset(
-        canonical_form(build(cprime(p, n - p))) for p in range(3, n - 2)
-    )
-
-
-@lru_cache(maxsize=None)
-def _edge_merged_cycle_codes(n: int) -> frozenset:
-    """Canonical codes of all cycle-pairs merged along an edge at order n."""
-    if n < 4:
-        return frozenset()
-    return frozenset(
-        canonical_form(build(cdprime(p, n + 2 - p))) for p in range(3, n)
-    )
-
-
-def _matches(g: Graph, kind: str) -> bool:
-    return canonical_form(g) == _family_code(kind, g.n)
-
-
 def is_heavy_independent(g: Graph) -> bool:
     """True when g is connected, not regular, and its vertices of degree above
     the minimum form an independent set.
@@ -230,7 +198,7 @@ def check_tree_bounds(t: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Theorem
     lower, upper = closed_form_bound("tree-bounds", t.n)
     return _bounded_report(
         "tree-bounds", t, hso(t).hso, lower, upper,
-        ("path", _matches(t, "path")), ("star", _matches(t, "star")),
+        ("path", is_member(t, "path")), ("star", is_member(t, "star")),
         tolerance,
     )
 
@@ -243,7 +211,7 @@ def check_general_lower(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Theor
     lower, _ = closed_form_bound("general-lower", g.n)
     return _bounded_report(
         "general-lower", g, hso(g).hso, lower, None,
-        ("cycle", _matches(g, "cycle")), ("", False),
+        ("cycle", is_member(g, "cycle")), ("", False),
         tolerance,
     )
 
@@ -255,7 +223,7 @@ def check_unicyclic_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Th
     lower, upper = closed_form_bound("unicyclic-bounds", g.n)
     report = _bounded_report(
         "unicyclic-bounds", g, hso(g).hso, lower, upper,
-        ("cycle", _matches(g, "cycle")), ("sprime", _matches(g, "sprime")),
+        ("cycle", is_member(g, "cycle")), ("sprime", is_member(g, "sprime")),
         tolerance,
     )
     if g.n <= 4 and report.equality_upper:
@@ -272,12 +240,10 @@ def check_bicyclic_lower(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Theo
     if g.classify() != BICYCLIC:
         raise NotBicyclicError("input is not bicyclic")
     lower, _ = closed_form_bound("bicyclic-lower", g.n)
-    code = canonical_form(g)
-    bridged = code in _bridged_cycle_codes(g.n)
-    merged = code in _edge_merged_cycle_codes(g.n)
+    bridged = is_member(g, "cprime")
     return _bounded_report(
         "bicyclic-lower", g, hso(g).hso, lower, None,
-        ("cprime" if bridged else "cdprime", bridged or merged), ("", False),
+        ("cprime" if bridged else "cdprime", bridged or is_member(g, "cdprime")), ("", False),
         tolerance,
         "" if g.n >= 6 else "bridged pair needs n >= 6; only merged pairs exist",
     )
@@ -291,7 +257,7 @@ def check_bicyclic_upper(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Theo
     _, upper = closed_form_bound("bicyclic-upper", g.n)
     return _bounded_report(
         "bicyclic-upper", g, hso(g).hso, None, upper,
-        ("", False), ("sdprime", _matches(g, "sdprime")),
+        ("", False), ("sdprime", is_member(g, "sdprime")),
         tolerance,
     )
 

@@ -37,8 +37,6 @@ from hsograph.graph import canonical_form, from_edge_list, parse_graph6
 from hsograph.indices import hso
 from hsograph.search import check_conjecture_star_max, find_monotonicity_counterexamples
 from hsograph.verify import (
-    _bridged_cycle_codes,
-    _edge_merged_cycle_codes,
     check_edge_count_bounds,
     check_lemma_edge_bounds,
     check_pendant_split_monotone,
@@ -166,7 +164,8 @@ def test_criterion_4_bicyclic_theorems():
             upper = hi_summary.eq_upper_witnesses.get(n, [])
             assert len(upper) == 1 and canonical_form(parse_graph6(upper[0])) == hub_code
             # lower equality witnesses are exactly the cycle-pair classes at n
-            expected_codes = set(_bridged_cycle_codes(n)) | set(_edge_merged_cycle_codes(n))
+            expected_codes = {canonical_form(build(cprime(p, n - p))) for p in range(3, n - 2)}
+            expected_codes |= {canonical_form(build(cdprime(p, n + 2 - p))) for p in range(3, n)}
             got_codes = {
                 canonical_form(parse_graph6(g6))
                 for g6 in lo_summary.eq_lower_witnesses.get(n, [])

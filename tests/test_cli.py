@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+from hsograph import cli
 from hsograph.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -16,7 +17,7 @@ from hsograph.cli import (
     run_verify_campaign,
 )
 from hsograph.graph import parse_graph6
-from hsograph.search import extremal_table
+from hsograph.search import extremal_table, find_monotonicity_counterexamples
 
 
 def run_cli(*argv):
@@ -110,6 +111,15 @@ class TestVerify:
 
     def test_class_override(self, capsys):
         assert run_cli("verify", "sandwich", "--n", "3..6", "--class", "tree") == EXIT_OK
+
+    def test_class_mismatch_rejected_before_enumerating(self, monkeypatch, capsys):
+        def no_enumeration(graph_class, n):
+            raise AssertionError("graphs_in_class called")
+
+        monkeypatch.setattr(cli, "graphs_in_class", no_enumeration)
+        assert run_cli("verify", "tree-bounds", "--n", "3..5", "--class", "unicyclic") == EXIT_USAGE
+        assert "stated over tree graphs" in capsys.readouterr().err
+        assert run_cli("verify", "bicyclic-lower", "--n", "4", "--class", "connected") == EXIT_USAGE
 
 
 class TestSearch:
@@ -214,7 +224,7 @@ class TestDeterminismAndParallel:
         assert len(reports) == summary.graphs_examined
         assert not summary.violations
 
-    def test_one_pool_per_campaign(self, monkeypatch):
+    def test_one_pool_per_campaign(self, monkeypatch, tmp_path):
         opened = []
         real_pool = multiprocessing.Pool
 
@@ -231,7 +241,16 @@ class TestDeterminismAndParallel:
         def table(jobs):
             return extremal_table("connected", 3, 6, jobs=jobs).to_dict(include_timing=False)
 
-        for campaign in (verify, table):
+        def monotonicity(jobs):
+            return [w.to_dict() for w in find_monotonicity_counterexamples(6, jobs=jobs)]
+
+        def conjecture(jobs):
+            out = tmp_path / f"conjecture{jobs}.json"
+            assert run_cli("search", "conjecture", "--n", "4..6", "--format", "json",
+                           "--jobs", str(jobs), "--out", str(out)) == EXIT_OK
+            return out.read_bytes()
+
+        for campaign in (verify, table, monotonicity, conjecture):
             opened.clear()
             serial = campaign(1)
             assert opened == []

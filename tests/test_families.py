@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import (
     FamilySpec,
     InvalidParametersError,
@@ -19,6 +21,7 @@ from hsograph.families import (
     complete,
     cprime,
     cycle,
+    is_member,
     parse_family,
     path,
     sdprime,
@@ -26,7 +29,7 @@ from hsograph.families import (
     star,
     triangle_pendants,
 )
-from hsograph.graph import BICYCLIC, TREE, UNICYCLIC, canonical_form
+from hsograph.graph import BICYCLIC, TREE, UNICYCLIC, canonical_form, from_edge_list
 from hsograph.indices import hso
 
 REL = 1e-9
@@ -212,3 +215,73 @@ class TestParseFamily:
         for text in ["star", "star:x", "tripend:1,2", "cprime:5", "what:3"]:
             with pytest.raises(InvalidParametersError):
                 parse_family(text)
+
+
+RECOGNIZED = ("path", "star", "cycle", "sprime", "sdprime", "cprime", "cdprime")
+
+
+def members(kind, n):
+    """Every member of a recognized family at order n (none below its least order)."""
+    if kind == "cprime":
+        return [cprime(p, n - p) for p in range(3, n - 2)]
+    if kind == "cdprime":
+        return [cdprime(p, n + 2 - p) for p in range(3, n)]
+    try:
+        return [FamilySpec(kind, n)]
+    except InvalidParametersError:
+        return []
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestIsMember:
+    def test_agrees_with_canonical_matching(self):
+        graphs = [g for n in range(1, 10) for g in trees(n)]
+        graphs += [g for n in range(3, 10) for g in unicyclic_graphs(n)]
+        graphs += [g for n in range(4, 10) for g in bicyclic_graphs(n)]
+        graphs += [g for n in range(1, 8) for g in connected_graphs(n)]
+        codes = {}
+        for g in graphs:
+            if g.n not in codes:
+                codes[g.n] = {kind: {canonical_form(build(spec)) for spec in members(kind, g.n)}
+                              for kind in RECOGNIZED}
+            code = canonical_form(g)
+            for kind in RECOGNIZED:
+                assert is_member(g, kind) == (code in codes[g.n][kind]), (g.to_graph6(), kind)
+
+    def test_relabeled_members_beyond_canonical_reach(self):
+        rng = random.Random(17)
+        for n in range(17, 41):
+            for kind in RECOGNIZED:
+                for spec in members(kind, n):
+                    g = relabeled(build(spec), rng)
+                    assert [k for k in RECOGNIZED if is_member(g, k)] == [kind], spec
+
+    def test_near_misses(self):
+        for n in range(5, 20):
+            assert not is_member(build(c33(n)), "sdprime")
+        # theta graph with hubs 0 and 1 apart: three paths of length 2 (K_{2,3})
+        theta = from_edge_list(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+        # figure-eight: two triangles sharing one vertex
+        figure_eight = build(c33(5))
+        # two triangles joined by a path of length 2: degrees {3, 3, 2, ...}, hubs apart
+        dumbbell = from_edge_list(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                                      (4, 5), (5, 6), (4, 6)])
+        for g in (theta, figure_eight, dumbbell):
+            assert not is_member(g, "cprime") and not is_member(g, "cdprime")
+        # disconnected graphs with the right degrees: triangle plus an edge,
+        # two triangles, and K4 minus an edge beside a triangle
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        assert not is_member(from_edge_list(5, triangle + [(3, 4)]), "path")
+        assert not is_member(from_edge_list(6, triangle + [(3, 4), (4, 5), (3, 5)]), "cycle")
+        k4_minus_edge = [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
+        split = from_edge_list(7, triangle + k4_minus_edge)
+        assert not is_member(split, "cprime") and not is_member(split, "cdprime")
+
+    def test_unsupported_kind(self):
+        with pytest.raises(InvalidParametersError):
+            is_member(build(c33(6)), "c33")

@@ -6,10 +6,9 @@ import math
 
 import pytest
 
-from hsograph.families import build, closed_form_hso, cycle, path, sdprime, sprime, star
+from hsograph.families import build, closed_form_hso, cycle, is_member, path, sdprime, sprime, star
 from hsograph.graph import OrderTooLargeError, canonical_form, parse_graph6
 from hsograph.search import (
-    _min_matches,
     check_conjecture_star_max,
     extremal_table,
     find_monotonicity_counterexamples,
@@ -151,7 +150,7 @@ class TestExtremalTable:
         assert summary.extremal_min[1] == summary.extremal_max[1] == ("@", 0.0)
         assert summary.extremal_min[2] == summary.extremal_max[2] == ("A_", math.sqrt(2))
         # from n = 3 on, only the cycle passes as the minimum
-        assert not _min_matches("connected", 4, canonical_form(build(path(4))))
+        assert not is_member(build(path(4)), "cycle")
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
-from hsograph.graph import from_edge_list
+from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list
 from hsograph.verify import (
     DisconnectedInputError,
     DomainViolationError,
@@ -306,3 +307,19 @@ class TestDispatchAndSweeps:
         assert d["theorem"] == "sandwich" and d["consistent"] is True
         row = r.csv_row()
         assert row[0] == "sandwich" and len(row) == 9
+
+
+class TestPastCanonicalReach:
+    def test_family_equality_above_n16(self):
+        # canonical labeling stops at n = 16; the checkers do not call it
+        with pytest.raises(OrderTooLargeError):
+            canonical_form(build(star(30)))
+        report = check_tree_bounds(build(star(30)))
+        assert report.holds and report.consistent
+        assert report.equality_upper and report.structural_class == "star"
+        g = build(cprime(10, 10))
+        perm = list(range(g.n))
+        random.Random(3).shuffle(perm)
+        report = check_bicyclic_lower(from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        assert report.holds and report.consistent
+        assert report.equality_lower and report.structural_class == "cprime"
