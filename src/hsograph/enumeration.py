@@ -1,14 +1,30 @@
 """Exhaustive enumeration of small graphs, one representative per isomorphism class.
 
-Every level is built the same way: one-step augmentation of the level
-below, then canonical-form deduplication (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  All graphs on n vertices come from
-those on n-1 plus a new vertex joined to every subset of the old ones;
-disconnected graphs stay in these levels (a connected graph minus a vertex
-need not be connected) and connectivity is filtered at the end.  Trees come
-from trees plus a leaf.  Connected graphs with m edges come from those with
-m-1 edges plus one non-edge, starting at the trees: removing a cycle edge
-keeps a graph connected, so every one of them is reached.
+Every level is built from the level below by McKay's canonical deletion
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  All graphs
+on n vertices come from those on n-1 plus a new vertex joined to a subset of
+the old ones; disconnected graphs stay in these levels (a connected graph
+minus a vertex need not be connected) and connectivity is filtered at the
+end.  Trees come from trees plus a leaf.  Connected graphs with m edges come
+from those with m-1 edges plus one non-edge, starting at the trees.
+
+A child is kept only if what was just added is what canonical deletion would
+remove again, up to automorphism:
+
+- Vertex rule: the canonical deletion vertex is chosen among the vertices of
+  minimum degree, then those with the largest sum of neighbour degrees, then
+  the one with the last canonical position.  Deleting any vertex leaves a
+  graph, and deleting a minimum-degree vertex of a tree leaves a tree.
+- Edge rule: the canonical deletable edge is chosen among the cycle edges
+  (whose removal keeps the graph connected) with the largest sorted pair of
+  endpoint degrees, then by the last canonical position.
+
+Each child is kept iff its new vertex or edge lies in the Aut(child) orbit of
+the canonical one.  Then every class appears, and two kept children are
+isomorphic only if they come from the same parent, so a per-parent set of
+canonical codes removes the rest.  The invariant tests run before any
+canonical labeling; the orbits come from the automorphism generators of the
+same labeling search that gives the canonical order.
 
 Streams are deterministic: each level is sorted by canonical code and every
 emitted graph is already in its canonical labeling, so repeated runs yield
@@ -19,10 +35,12 @@ ranges for parallel work.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .graph import (
     Graph,
     OrderTooLargeError,
+    _bits,
     _canonical_code_order,
     _relabel_rows,
 )
@@ -35,46 +53,134 @@ class InfeasibleEdgeCountError(ValueError):
     pass
 
 
-def _distinct(n, candidates):
-    """The first graph per canonical code among row tuples on n vertices,
-    each in its canonical labeling, sorted by code."""
-    found = {}
-    for rows in candidates:
-        code, order = _canonical_code_order(rows, n)
-        if code not in found:
-            found[code] = Graph(n, _relabel_rows(rows, order))
-    return tuple(found[code] for code in sorted(found))
+def _orbit(mask, generators):
+    """Images of a vertex set, given as a bitmask, under the group spanned
+    by the generators (tuples of vertex images)."""
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        current = frontier.pop()
+        for image in generators:
+            moved = 0
+            for v in _bits(current):
+                moved |= 1 << image[v]
+            if moved not in orbit:
+                orbit.add(moved)
+                frontier.append(moved)
+    return orbit
 
 
-def _with_new_vertex(parents, leaf_only):
-    """Rows of each parent plus a last vertex joined to every neighbour mask,
-    or to each single old vertex when leaf_only is set."""
+def _canonical_deletion(parents, children):
+    """The level grown from parents: every child (rows, new, rivals) whose new
+    vertex or edge (a bitmask) is the canonical one up to automorphism among
+    itself and its rivals (the others that tie with it on invariants), one
+    per class, in canonical labeling and sorted by code."""
+    level = []
     for parent in parents:
-        old_n = parent.n
-        top = 1 << old_n
-        masks = (1 << v for v in range(old_n)) if leaf_only else range(1 << old_n)
-        for mask in masks:
-            rows = list(parent.rows)
-            rows.append(mask)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rows[low.bit_length() - 1] |= top
-                rest ^= low
-            yield tuple(rows)
+        seen = set()
+        for rows, new, rivals in children(parent):
+            n = len(rows)
+            code, order, generators = _canonical_code_order(rows, n)
+            if code in seen:
+                continue
+            if rivals:
+                # the canonical one is the tied set whose vertices sit last
+                # in the canonical order
+                bit = [0] * n
+                for p, v in enumerate(order):
+                    bit[v] = 1 << p
+                placed = {mask: sum(bit[v] for v in _bits(mask)) for mask in (new, *rivals)}
+                chosen = max(placed, key=placed.get)
+                if chosen != new and new not in _orbit(chosen, generators):
+                    continue
+            seen.add(code)
+            level.append((code, Graph(n, _relabel_rows(rows, order))))
+    level.sort()  # codes are distinct, so no two graphs get compared
+    return tuple(g for _, g in level)
 
 
-def _with_new_edge(parents):
-    """Rows of each parent plus one of its non-edges."""
-    for parent in parents:
-        base = parent.rows
-        for u in range(parent.n):
-            for v in range(u + 1, parent.n):
-                if not base[u] >> v & 1:
-                    rows = list(base)
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    yield tuple(rows)
+def _min_degree_masks(degrees):
+    """Neighbour masks that give a new vertex the minimum degree of the child:
+    any k old vertices for k up to the old minimum degree d, or for k = d + 1
+    every vertex of degree d plus enough of the others."""
+    low = min(degrees)
+    vertices = [1 << v for v in range(len(degrees))]
+    for k in range(low + 1):
+        for chosen in combinations(vertices, k):
+            yield sum(chosen)
+    forced = sum(bit for bit, d in zip(vertices, degrees) if d == low)
+    free = [bit for bit, d in zip(vertices, degrees) if d > low]
+    need = low + 1 - forced.bit_count()
+    if need >= 0:
+        for chosen in combinations(free, need):
+            yield forced + sum(chosen)
+
+
+def _vertex_children(parent, leaf_only):
+    """Children with a last vertex joined to a neighbour mask (a single old
+    vertex when leaf_only is set) that passes the vertex rule's invariants."""
+    x = parent.n
+    top = 1 << x
+    if leaf_only:
+        masks = (1 << v for v in range(x))
+    else:
+        masks = _min_degree_masks(parent.degrees)
+    for mask in masks:
+        rows = list(parent.rows)
+        rows.append(mask)
+        for v in _bits(mask):
+            rows[v] |= top
+        degrees = [r.bit_count() for r in rows]
+        k = degrees[x]
+        score = {v: sum(degrees[w] for w in _bits(rows[v]))
+                 for v in range(x + 1) if degrees[v] == k}
+        best = score.pop(x)
+        if any(s > best for s in score.values()):
+            continue
+        yield tuple(rows), top, [1 << v for v, s in score.items() if s == best]
+
+
+def _edge_children(parent):
+    """Children with one more edge that passes the edge rule's invariants:
+    no cycle edge of the child has a larger sorted endpoint-degree pair."""
+    base = parent.rows
+    n = parent.n
+    degrees = parent.degrees
+    edges = []
+    for u, w in parent.edges():
+        # side: the part of parent - uw holding u; uw lies on a cycle of the
+        # child iff it does in the parent or the new edge crosses that cut
+        side = 1 << u
+        frontier = base[u] & ~(1 << w)
+        while frontier:
+            side |= frontier
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= base[v]
+            frontier = nxt & ~side
+        edges.append((u, w, side, bool(side >> w & 1)))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if base[a] >> b & 1:
+                continue
+            deg = list(degrees)
+            deg[a] += 1
+            deg[b] += 1
+            top = (deg[a], deg[b]) if deg[a] < deg[b] else (deg[b], deg[a])
+            rivals = []
+            for u, w, side, cyclic in edges:
+                du, dw = deg[u], deg[w]
+                key = (du, dw) if du < dw else (dw, du)
+                if key < top or not (cyclic or (side >> a & 1) != (side >> b & 1)):
+                    continue
+                if key > top:
+                    break
+                rivals.append(1 << u | 1 << w)
+            else:
+                rows = list(base)
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+                yield tuple(rows), 1 << a | 1 << b, rivals
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +188,7 @@ def _all_level(n):
     """All graphs on n vertices (connected or not), canonical and sorted."""
     if n == 1:
         return (Graph(1, (0,)),)
-    return _distinct(n, _with_new_vertex(_all_level(n - 1), leaf_only=False))
+    return _canonical_deletion(_all_level(n - 1), lambda g: _vertex_children(g, leaf_only=False))
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +196,7 @@ def _tree_level(n):
     """All free trees on n vertices via leaf attachment."""
     if n == 1:
         return (Graph(1, (0,)),)
-    return _distinct(n, _with_new_vertex(_tree_level(n - 1), leaf_only=True))
+    return _canonical_deletion(_tree_level(n - 1), lambda g: _vertex_children(g, leaf_only=True))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +204,7 @@ def _edge_level(n, m):
     """All connected graphs on n vertices with m >= n - 1 edges."""
     if m == n - 1:
         return _tree_level(n)
-    return _distinct(n, _with_new_edge(_edge_level(n, m - 1)))
+    return _canonical_deletion(_edge_level(n, m - 1), _edge_children)
 
 
 def trees(n: int):

@@ -274,6 +274,12 @@ def parse_graph6(text: str) -> Graph:
 # class is tried: u and v branch identically whenever transposing them is an
 # automorphism, i.e. N(u)\{v} = N(v)\{u}.  The minimum leaf code over the
 # search tree is a full isomorphism invariant: equal codes iff isomorphic.
+#
+# The same search yields generators of the automorphism group: the twin
+# transpositions it prunes by, and the map from the best leaf so far to
+# every later leaf with the same code.  Every leaf of the unpruned tree is the
+# image of an explored leaf under the twin transpositions, and Aut(G) acts
+# freely on the leaves, so together these generate Aut(G).
 # ---------------------------------------------------------------------------
 
 
@@ -323,15 +329,19 @@ def _refine(rows, cells):
 
 
 def _canonical_code_order(rows, n):
-    """Return (code, order): minimal leaf code and one vertex order achieving it."""
+    """Return (code, order, generators): the minimal leaf code, one vertex
+    order achieving it, and permutations (tuples of vertex images) that
+    generate the automorphism group."""
     if n == 1:
-        return 0, (0,)
+        return 0, (0,), []
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(rows[v].bit_count(), []).append(v)
     start = _refine(rows, [by_deg[d] for d in sorted(by_deg)])
     best_code = None
     best_order = None
+    generators = []
+    twins = set()
     stack = [start]
     while stack:
         cells = stack.pop()
@@ -350,19 +360,32 @@ def _canonical_code_order(rows, n):
             if best_code is None or code < best_code:
                 best_code = code
                 best_order = tuple(order)
+            elif code == best_code:
+                image = [0] * n
+                for u, v in zip(best_order, order):
+                    image[u] = v
+                generators.append(tuple(image))
             continue
         cell = cells[split_at]
         reps = []
         for v in cell:
             rv = rows[v]
-            if not any((rv & ~(1 << r)) == (rows[r] & ~(1 << v)) for r in reps):
+            for r in reps:
+                if (rv & ~(1 << r)) == (rows[r] & ~(1 << v)):
+                    twins.add((r, v))
+                    break
+            else:
                 reps.append(v)
         pre = cells[:split_at]
         post = cells[split_at + 1:]
         for v in reps:
             rest = [u for u in cell if u != v]
             stack.append(_refine(rows, pre + [[v], rest] + post))
-    return best_code, best_order
+    for r, v in twins:
+        image = list(range(n))
+        image[r], image[v] = v, r
+        generators.append(tuple(image))
+    return best_code, best_order, generators
 
 
 def _relabel_rows(rows, order):
@@ -387,12 +410,12 @@ def _check_canonical_order(n):
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical code of g; equal codes iff isomorphic (exact at supported orders)."""
     _check_canonical_order(g.n)
-    code, _ = _canonical_code_order(g.rows, g.n)
+    code, _, _ = _canonical_code_order(g.rows, g.n)
     return CanonicalForm(g.n, code)
 
 
 def canonical_relabel(g: Graph) -> Graph:
     """Copy of g relabeled into its canonical vertex order."""
     _check_canonical_order(g.n)
-    _, order = _canonical_code_order(g.rows, g.n)
+    _, order, _ = _canonical_code_order(g.rows, g.n)
     return Graph(g.n, _relabel_rows(g.rows, order))

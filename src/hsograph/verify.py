@@ -137,6 +137,11 @@ def is_heavy_independent(g: Graph) -> bool:
     end of the SO/HSO sandwich.
     """
     _require_connected(g)
+    return _heavy_independent(g)
+
+
+def _heavy_independent(g: Graph) -> bool:
+    """is_heavy_independent for a graph already known to be connected."""
     dmin = g.min_degree
     if g.max_degree == dmin:
         return False
@@ -155,7 +160,7 @@ def check_sandwich(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremRep
         raise OrderTooSmallError("sandwich comparison needs at least one edge")
     iv = hso(g)
     regular = g.max_degree == g.min_degree
-    heavy = not regular and is_heavy_independent(g)
+    heavy = not regular and _heavy_independent(g)
     return _bounded_report(
         "sandwich", g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
         ("regular", regular),

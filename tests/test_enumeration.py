@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from hsograph.enumeration import (
     InfeasibleEdgeCountError,
     _all_level,
+    _orbit,
     bicyclic_graphs,
     connected_graphs,
     connected_graphs_with_edges,
     trees,
     unicyclic_graphs,
 )
-from hsograph.graph import TREE, OrderTooLargeError, canonical_form, parse_graph6
+from hsograph.graph import (
+    TREE,
+    OrderTooLargeError,
+    _canonical_code_order,
+    _relabel_rows,
+    canonical_form,
+    parse_graph6,
+)
 
 import oracles
 
 # classical counts, frozen: free trees, connected graphs, unicyclic, bicyclic
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]          # n = 1..12
-CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]                        # n = 1..7
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]                 # n = 1..8
 UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806,
                     12: 5026}
 BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678}
@@ -33,13 +43,13 @@ class TestCounts:
             assert count == oracles.tree_count(n)
 
     def test_connected_counts(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             count = len(list(connected_graphs(n)))
             assert count == CONNECTED_COUNTS[n - 1]
             assert count == oracles.connected_count(n)
 
     def test_all_graph_levels_match_cycle_index(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             assert len(_all_level(n)) == oracles.unlabeled_graph_count(n)
 
     def test_unique_bicyclic_on_four(self):
@@ -138,6 +148,35 @@ class TestStreamProperties:
     def test_graph6_round_trip_over_streams(self):
         for g in connected_graphs(6):
             assert parse_graph6(g.to_graph6()).rows == g.rows
+
+
+def _image(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+class TestAutomorphismGenerators:
+    """The labeling search's generators span Aut(G): checked against all n!
+    permutations, since the deletion rules rest on the orbits they give."""
+
+    def test_generators_are_automorphisms(self):
+        for n in range(1, 7):
+            for g in _all_level(n):
+                _, _, generators = _canonical_code_order(g.rows, n)
+                for perm in generators:
+                    assert sorted(perm) == list(range(n))
+                    assert all(_image(g.rows[v], perm) == g.rows[perm[v]] for v in range(n))
+
+    def test_orbits_match_brute_force(self):
+        for n in range(1, 7):
+            for g in _all_level(n):
+                _, _, generators = _canonical_code_order(g.rows, n)
+                group = [p for p in permutations(range(n))
+                         if _relabel_rows(g.rows, p) == g.rows]
+                for v in range(n):
+                    assert _orbit(1 << v, generators) == {1 << p[v] for p in group}
+                for u, v in g.edges():
+                    edge = 1 << u | 1 << v
+                    assert _orbit(edge, generators) == {_image(edge, p) for p in group}
 
 
 class TestCaps:

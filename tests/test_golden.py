@@ -48,12 +48,17 @@ GOLDEN = {
         "456e398d3cd6c5656cacaed5d39b4f66e7742853f0c234a53b99e6a084a4258b",
 }
 
-# enumerate: the graph6 streams of the classes the paper's new bounds cover
+# enumerate: the graph6 streams of the classes the paper's new bounds cover,
+# and the largest default connected and tree levels
 GOLDEN_STREAMS = {
     ("enumerate", "--class", "unicyclic", "--n", "9"):
         "144310df0b6c2b595037d9fa161ee4ba9bf83458e0d7c0b5b2cc3192102be75c",
     ("enumerate", "--class", "bicyclic", "--n", "9"):
         "dbc3d8f3e9ce6dcd89a7ec8e31a0051b184a8bb2fefa16ee34b810320bc8946a",
+    ("enumerate", "--class", "connected", "--n", "8"):
+        "41ab360ee4db77430792aa11bcea673cad95b5671a840a0bb807bf4ef2afbc2d",
+    ("enumerate", "--class", "tree", "--n", "12"):
+        "05e8a562d3c90b6046f9ea6df3b0c6d4020588edce6737a7d62bcd790082c878",
 }
 
 _FORMAT = {"verify": "csv", "search": "json"}

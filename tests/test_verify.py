@@ -9,7 +9,7 @@ import pytest
 
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
-from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list
+from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
 from hsograph.verify import (
     DisconnectedInputError,
     DomainViolationError,
@@ -57,6 +57,13 @@ class TestHeavyIndependent:
 
 
 class TestSandwich:
+    def test_one_connectivity_sweep(self, monkeypatch):
+        sweeps = []
+        connected = Graph.is_connected
+        monkeypatch.setattr(Graph, "is_connected", lambda g: sweeps.append(g) or connected(g))
+        assert check_sandwich(build(star(5))).structural_class == "heavy-independent"
+        assert len(sweeps) == 1
+
     def test_cycle_attains_both(self):
         r = check_sandwich(build(cycle(6)))
         assert r.holds and r.consistent
