@@ -8,7 +8,8 @@ accumulation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import Graph
 
@@ -41,9 +42,20 @@ class EdgeTerm:
 
 @dataclass(frozen=True)
 class IndexValue:
+    """HSO and SO of one graph.  The per-edge breakdown is built from the
+    graph the first time per_edge is read, so the checking path never
+    allocates one object per edge."""
+
     hso: float
     so: float
-    per_edge: tuple[EdgeTerm, ...]
+    graph: Graph = field(repr=False)
+
+    @cached_property
+    def per_edge(self) -> tuple[EdgeTerm, ...]:
+        """One EdgeTerm per edge, in Graph.edges() order."""
+        degs = self.graph.degrees
+        return tuple(EdgeTerm(u, v, degs[u], degs[v], edge_term(degs[u], degs[v]))
+                     for u, v in self.graph.edges())
 
 
 def edge_term(du: int, dv: int) -> float:
@@ -54,28 +66,34 @@ def edge_term(du: int, dv: int) -> float:
 
 
 def hso(g: Graph) -> IndexValue:
-    """HSO and SO of g with the full per-edge breakdown."""
-    terms = []
-    so_parts = []
+    """HSO and SO of g in one pass over the adjacency bitmasks.
+
+    Each edge contributes root = sqrt(du^2 + dv^2) to SO and root / min(du, dv)
+    to HSO, the same float operations as edge_term; math.fsum rounds each sum
+    correctly, so the totals do not depend on the order the edges are visited.
+    """
     degs = g.degrees
-    for u, v in g.edges():
-        du, dv = degs[u], degs[v]
-        root = math.sqrt(du * du + dv * dv)
-        so_parts.append(root)
-        terms.append(EdgeTerm(u, v, du, dv, root / min(du, dv)))
-    return IndexValue(
-        hso=math.fsum(t.value for t in terms),
-        so=math.fsum(so_parts),
-        per_edge=tuple(terms),
-    )
+    sqrt = math.sqrt
+    roots = []
+    terms = []
+    add_root = roots.append
+    add_term = terms.append
+    for u, high in enumerate(g.rows):
+        du = degs[u]
+        high >>= u + 1
+        while high:
+            low = high & -high
+            high ^= low
+            dv = degs[u + low.bit_length()]
+            root = sqrt(du * du + dv * dv)
+            add_root(root)
+            add_term(root / (du if du < dv else dv))
+    return IndexValue(math.fsum(terms), math.fsum(roots), g)
 
 
 def so(g: Graph) -> float:
     """Sombor index: sum of sqrt(du^2 + dv^2) over edges."""
-    degs = g.degrees
-    return math.fsum(
-        math.sqrt(degs[u] * degs[u] + degs[v] * degs[v]) for u, v in g.edges()
-    )
+    return hso(g).so
 
 
 def edge_term_bounds(du: int, dv: int, max_degree: int) -> tuple[float, float]:

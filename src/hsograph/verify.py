@@ -292,44 +292,62 @@ def check_lemma_edge_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
     (2, 1) and the upper end at (D, 1); edges between degree >= 2 endpoints
     lie in [sqrt(2), sqrt(D^2+4)/2] with the lower end at equal degrees and
     the upper end at (D, 2).
+
+    Every verdict depends only on the edge's sorted degree pair, so each
+    distinct pair is judged once per call and the edges, walked in order,
+    only collect the first four offences for the note.
     """
     _require_connected(g)
     if g.n < 3:
         raise OrderTooSmallError("per-edge bounds need n >= 3")
     degs = g.degrees
     caps = (g.max_degree, g.n - 1)
-    all_inside = True
-    all_consistent = True
-    any_eq_lower = False
-    any_eq_upper = False
+    verdicts = {}
     bad = []
     for u, v in g.edges():
         du, dv = degs[u], degs[v]
-        lo_deg, hi_deg = min(du, dv), max(du, dv)
-        term = edge_term(du, dv)
-        for cap in caps:
-            lo_bound, hi_bound = edge_term_bounds(du, dv, cap)
-            # lower end at (2, 1) or equal degrees; upper end at (cap, 1) or (cap, 2)
-            pat_lower = hi_deg == 2 if lo_deg == 1 else du == dv
-            pat_upper = hi_deg == cap and lo_deg <= 2
-            inside = (term >= lo_bound - _slack(lo_bound, tolerance)) and (
-                term <= hi_bound + _slack(hi_bound, tolerance)
-            )
-            eq_lo = _close(term, lo_bound, tolerance)
-            eq_hi = _close(term, hi_bound, tolerance)
-            any_eq_lower = any_eq_lower or eq_lo
-            any_eq_upper = any_eq_upper or eq_hi
-            if not inside:
-                all_inside = False
-                bad.append((u, v, cap, "outside"))
-            if eq_lo != pat_lower or eq_hi != pat_upper:
-                all_consistent = False
-                bad.append((u, v, cap, "equality-pattern"))
+        pair = (du, dv) if du <= dv else (dv, du)
+        verdict = verdicts.get(pair)
+        if verdict is None:
+            verdict = verdicts[pair] = _lemma_verdict(*pair, caps, tolerance)
+        offences = verdict[2]
+        if offences and len(bad) < 4:
+            bad.extend((u, v, cap, kind) for cap, kind in offences)
+    kinds = {kind for _, _, offences in verdicts.values() for _, kind in offences}
     note = "" if not bad else f"offending edges: {bad[:4]}"
     return TheoremReport(
         "lemma-edge-bounds", g.to_graph6(), g.n, hso(g).hso, None, None,
-        all_inside, any_eq_lower, any_eq_upper, "none", all_consistent, note,
+        "outside" not in kinds,
+        any(eq_lower for eq_lower, _, _ in verdicts.values()),
+        any(eq_upper for _, eq_upper, _ in verdicts.values()),
+        "none", "equality-pattern" not in kinds, note,
     )
+
+
+def _lemma_verdict(lo_deg: int, hi_deg: int, caps: tuple[int, int], tolerance: float):
+    """(eq_lower, eq_upper, offences) of every edge whose sorted degrees are
+    (lo_deg, hi_deg): whether the term meets either end of its interval under
+    some cap, and each (cap, kind) in cap order where it leaves its interval
+    ("outside") or misses its equality pattern ("equality-pattern")."""
+    term = edge_term(lo_deg, hi_deg)
+    eq_lower = eq_upper = False
+    offences = []
+    for cap in caps:
+        lo_bound, hi_bound = edge_term_bounds(lo_deg, hi_deg, cap)
+        # lower end at (2, 1) or equal degrees; upper end at (cap, 1) or (cap, 2)
+        pat_lower = hi_deg == 2 if lo_deg == 1 else lo_deg == hi_deg
+        pat_upper = hi_deg == cap and lo_deg <= 2
+        lo_slack = _slack(lo_bound, tolerance)
+        hi_slack = _slack(hi_bound, tolerance)
+        eq_lo = abs(term - lo_bound) <= lo_slack
+        eq_hi = abs(term - hi_bound) <= hi_slack
+        eq_lower = eq_lower or eq_lo
+        eq_upper = eq_upper or eq_hi
+        if not lo_bound - lo_slack <= term <= hi_bound + hi_slack:
+            offences.append((cap, "outside"))
+        if eq_lo != pat_lower or eq_hi != pat_upper:
+            offences.append((cap, "equality-pattern"))
+    return eq_lower, eq_upper, tuple(offences)
 
 
 def pendant_split_weight(x: float, n: int) -> float:

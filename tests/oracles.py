@@ -308,3 +308,20 @@ def brute_min_code(n, edge_set):
         if best is None or relabeled < best:
             best = relabeled
     return (n, best)
+
+
+# ---------------------------------------------------------------------------
+# seeded random connected graphs as plain edge lists
+# ---------------------------------------------------------------------------
+
+
+def random_connected_edges(n, rng, chords):
+    """Edges of a random connected graph on 0..n-1: a random recursive tree
+    (each vertex hangs on a random earlier one) under a random relabeling,
+    plus `chords` distinct random non-edges."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {frozenset((label[v], label[rng.randrange(v)])) for v in range(1, n)}
+    absent = [frozenset(p) for p in combinations(range(n), 2) if frozenset(p) not in edges]
+    edges.update(rng.sample(absent, chords))
+    return sorted(tuple(sorted(e)) for e in edges)

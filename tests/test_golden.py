@@ -9,6 +9,7 @@ after an intended output change, run the case and paste the new digest.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,17 @@ GOLDEN_STREAMS = {
         "05e8a562d3c90b6046f9ea6df3b0c6d4020588edce6737a7d62bcd790082c878",
 }
 
+# compute --per-edge in each format: star:7 on the command line, then
+# cprime:5,4 and the triangle Bw read from --file
+GOLDEN_COMPUTE = {
+    "text": "67263bd43481b112f9190f5d3114778bf5253fd9fe87cf79005b34ad79abd711",
+    "json": "ae99322fa4420c0b63e4a1bf8767bbcdb922be61e6685eac5f92f8bd84a58dba",
+}
+
+# the whole output of `compute Bw --per-edge --format json`, also compared
+# byte for byte against the installed console script in CI
+PINNED_BW_PER_EDGE = Path(__file__).parent / "golden" / "compute-Bw-per-edge.json"
+
 _FORMAT = {"verify": "csv", "search": "json"}
 
 
@@ -91,3 +103,17 @@ def test_golden_bytes_with_workers(argv, tmp_path):
 @pytest.mark.parametrize("argv", list(GOLDEN_STREAMS), ids=" ".join)
 def test_golden_streams(argv, tmp_path):
     assert _out_digest(argv, tmp_path) == GOLDEN_STREAMS[argv]
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_COMPUTE))
+def test_golden_compute_per_edge(fmt, tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.write_text("cprime:5,4\nBw\n")
+    argv = ["compute", "star:7", "--file", str(inputs), "--per-edge", "--format", fmt]
+    assert _out_digest(argv, tmp_path) == GOLDEN_COMPUTE[fmt]
+
+
+def test_pinned_triangle_per_edge(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compute", "Bw", "--per-edge", "--format", "json", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == PINNED_BW_PER_EDGE.read_bytes()

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
-from hsograph.enumeration import connected_graphs
+import oracles
+from hsograph import indices
+from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees
 from hsograph.families import build, complete, cycle, path, star
 from hsograph.graph import from_edge_list
 from hsograph.indices import (
     DegreeExceedsDeltaError,
+    EdgeTerm,
     K2EdgeError,
     ZeroDegreeError,
     edge_term,
@@ -93,6 +97,67 @@ class TestIndexValues:
         for t in hso(g).per_edge:
             assert t.du == g.degrees[t.u]
             assert t.dv == g.degrees[t.v]
+
+
+def reference_hso(g):
+    """(HSO, SO, per-edge terms) by the plain per-edge loop: one EdgeTerm per
+    edge in Graph.edges() order, each sum taken with math.fsum."""
+    degs = g.degrees
+    terms, roots = [], []
+    for u, v in g.edges():
+        du, dv = degs[u], degs[v]
+        root = math.sqrt(du * du + dv * dv)
+        roots.append(root)
+        terms.append(EdgeTerm(u, v, du, dv, root / min(du, dv)))
+    return math.fsum(t.value for t in terms), math.fsum(roots), tuple(terms)
+
+
+def exactness_graphs():
+    """Every connected graph with n <= 7, every tree with n <= 10, every
+    bicyclic graph with n <= 9, and seeded random connected graphs at
+    n = 10..40 from trees to dense."""
+    yield from (g for n in range(1, 8) for g in connected_graphs(n))
+    yield from (t for n in range(1, 11) for t in trees(n))
+    yield from (g for n in range(4, 10) for g in bicyclic_graphs(n))
+    rng = random.Random(2025)
+    for n in range(10, 41):
+        for chords in (0, 1, 2, n // 2, 2 * n):
+            yield from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
+
+
+class TestExactness:
+    def test_bit_identical_to_per_edge_loop(self):
+        count = 0
+        for g in exactness_graphs():
+            value, so_value, terms = reference_hso(g)
+            iv = hso(g)
+            assert iv.hso == value, g
+            assert iv.so == so_value, g
+            assert so(g) == so_value, g
+            assert iv.per_edge == terms, g
+            count += 1
+        assert count > 2000
+
+    def test_per_edge_built_on_first_read(self, monkeypatch):
+        built = []
+
+        def counting_term(*args):
+            built.append(args)
+            return EdgeTerm(*args)
+
+        monkeypatch.setattr(indices, "EdgeTerm", counting_term)
+        g = build(cycle(6))
+        iv = hso(g)
+        assert close(iv.hso, 6 * math.sqrt(2)) and close(iv.so, 12 * math.sqrt(2))
+        assert built == []
+        first = iv.per_edge
+        assert len(built) == g.m
+        assert iv.per_edge is first and len(built) == g.m
+
+    def test_immutable(self):
+        iv = hso(build(star(4)))
+        with pytest.raises(AttributeError):
+            iv.hso = 0.0
 
 
 class TestEdgeTermBounds:

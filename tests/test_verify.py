@@ -7,9 +7,12 @@ import random
 
 import pytest
 
+import oracles
+from hsograph import verify
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
 from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
+from hsograph.indices import edge_term, hso
 from hsograph.verify import (
     DisconnectedInputError,
     DomainViolationError,
@@ -17,6 +20,7 @@ from hsograph.verify import (
     NotBicyclicError,
     NotUnicyclicError,
     OrderTooSmallError,
+    TheoremReport,
     UnknownCheckError,
     check_bicyclic_lower,
     check_bicyclic_upper,
@@ -242,6 +246,93 @@ class TestLemmaEdgeBounds:
     def test_rejects_tiny(self):
         with pytest.raises(OrderTooSmallError):
             check_lemma_edge_bounds(build(path(2)))
+
+
+def reference_lemma_edge_bounds(g, tolerance=1e-9):
+    """The lemma check judged edge by edge, each edge under each cap on its
+    own; the intervals come from verify.edge_term_bounds at call time."""
+    def slack(bound):
+        return tolerance * max(1.0, abs(bound))
+
+    degs = g.degrees
+    caps = (g.max_degree, g.n - 1)
+    holds = consistent = True
+    eq_lower = eq_upper = False
+    bad = []
+    for u, v in g.edges():
+        du, dv = degs[u], degs[v]
+        lo_deg, hi_deg = min(du, dv), max(du, dv)
+        term = edge_term(du, dv)
+        for cap in caps:
+            lo, hi = verify.edge_term_bounds(du, dv, cap)
+            pat_lower = hi_deg == 2 if lo_deg == 1 else du == dv
+            pat_upper = hi_deg == cap and lo_deg <= 2
+            eq_lo = abs(term - lo) <= slack(lo)
+            eq_hi = abs(term - hi) <= slack(hi)
+            eq_lower = eq_lower or eq_lo
+            eq_upper = eq_upper or eq_hi
+            if not (term >= lo - slack(lo) and term <= hi + slack(hi)):
+                holds = False
+                bad.append((u, v, cap, "outside"))
+            if eq_lo != pat_lower or eq_hi != pat_upper:
+                consistent = False
+                bad.append((u, v, cap, "equality-pattern"))
+    note = f"offending edges: {bad[:4]}" if bad else ""
+    return TheoremReport("lemma-edge-bounds", g.to_graph6(), g.n, hso(g).hso, None, None,
+                         holds, eq_lower, eq_upper, "none", consistent, note).to_dict()
+
+
+def lemma_graphs():
+    """Every connected graph with 3 <= n <= 7, every tree with 3 <= n <= 10,
+    every bicyclic graph with n <= 9, and seeded random connected graphs at
+    n = 10..40."""
+    yield from (g for n in range(3, 8) for g in connected_graphs(n))
+    yield from (t for n in range(3, 11) for t in trees(n))
+    yield from (g for n in range(4, 10) for g in bicyclic_graphs(n))
+    rng = random.Random(2025)
+    for n in range(10, 41):
+        for chords in (0, 1, 2, n // 2, 2 * n):
+            yield from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
+
+
+class TestLemmaAgainstPerEdgeReference:
+    def test_same_report(self):
+        for g in lemma_graphs():
+            assert check_lemma_edge_bounds(g).to_dict() == reference_lemma_edge_bounds(g), g
+
+    def test_planted_fault_same_note(self, monkeypatch):
+        true_bounds = verify.edge_term_bounds
+
+        def narrowed(du, dv, cap):
+            lo, hi = true_bounds(du, dv, cap)
+            # raise every lower end, and pull the upper end well in under odd
+            # caps only, so that an edge can offend under one cap and not the
+            # other, and in one kind and not the other
+            return lo + 0.01, hi - (1.2 if cap % 2 else 0.0)
+
+        monkeypatch.setattr(verify, "edge_term_bounds", narrowed)
+        notes = 0
+        for g in lemma_graphs():
+            report = check_lemma_edge_bounds(g).to_dict()
+            assert report == reference_lemma_edge_bounds(g), g
+            notes += report["note"].count("(") == 4
+        assert notes > 1000
+
+    def test_planted_fault_note_in_edge_order(self, monkeypatch):
+        true_bounds = verify.edge_term_bounds
+
+        def narrowed(du, dv, cap):
+            lo, hi = true_bounds(du, dv, cap)
+            return (lo + 0.01 if cap == 4 and min(du, dv) >= 2 else lo), hi
+
+        monkeypatch.setattr(verify, "edge_term_bounds", narrowed)
+        # path 0-1-2-3-4 under caps (2, 4): the pendant edge (0, 1) is fine, and
+        # the inner edges at degrees (2, 2) fall below the raised lower end
+        # under cap 4 only; the note keeps the first two of them in edge order
+        r = check_lemma_edge_bounds(build(path(5)))
+        assert not r.holds and not r.consistent
+        assert r.note == ("offending edges: [(1, 2, 4, 'outside'), (1, 2, 4, 'equality-pattern'), "
+                          "(2, 3, 4, 'outside'), (2, 3, 4, 'equality-pattern')]")
 
 
 class TestPendantSplitWeight:
