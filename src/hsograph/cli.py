@@ -18,7 +18,7 @@ import time
 from functools import partial
 
 from . import __version__
-from .enumeration import connected_graphs_with_edges, graphs_in_class
+from .enumeration import InfeasibleEdgeCountError, connected_graphs_with_edges, graphs_in_class
 from .families import InvalidParametersError, build, parse_family
 from .graph import Graph, GraphError, parse_graph6
 from .indices import hso
@@ -34,6 +34,7 @@ from .verify import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCE,
     THEOREMS,
+    DomainViolationError,
     TheoremReport,
     check_pendant_split_monotone,
     check_theorem,
@@ -68,6 +69,8 @@ def _parse_range(text: str) -> tuple[int, int]:
             lo = hi = int(text)
     except ValueError:
         raise UsageError(f"bad order range {text!r}; expected A or A..B") from None
+    if lo < 1:
+        raise UsageError(f"orders start at 1, got {text!r}")
     if lo > hi:
         raise UsageError(f"empty order range {text!r}")
     return lo, hi
@@ -157,7 +160,7 @@ def _render_witnesses(witnesses, fmt: str, meta: dict) -> str:
 
 def _render_summary(summary: CampaignSummary, fmt: str, meta: dict) -> str:
     if fmt == "json":
-        doc = {"tool": _TOOL, **meta, "summary": summary.to_dict(include_timing=False)}
+        doc = {"tool": _TOOL, **meta, "summary": summary.to_dict()}
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == "csv":
         rows = []
@@ -464,7 +467,8 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return cmd_enumerate(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, GraphError, InvalidParametersError, ValueError, OSError) as exc:
+    except (UsageError, GraphError, InvalidParametersError, InfeasibleEdgeCountError,
+            DomainViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

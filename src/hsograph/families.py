@@ -1,5 +1,6 @@
-"""Named extremal graph families: constructors, closed-form HSO values and
-a recognizer that decides membership from degrees.
+"""Named extremal graph families: constructors, closed-form HSO values, a
+recognizer that decides membership from degrees, and the one table of which
+families attain the least and the greatest HSO in each graph class.
 
 Each family has a fixed labeling convention (hub and cycle vertices first,
 pendants last) so serialized output is reproducible byte for byte.  The
@@ -275,14 +276,24 @@ def closed_form_hso(spec: FamilySpec) -> float:
     raise InvalidParametersError(f"unknown family kind {kind!r}")
 
 
-# theorem -> (least order, family of the lower bound, family of the upper
-# bound); each bound is the family member's closed-form HSO at order n
-_BOUND_FAMILIES = {
-    "tree-bounds": (2, path, star),
-    "general-lower": (3, cycle, None),
-    "unicyclic-bounds": (3, cycle, sprime),
-    "bicyclic-lower": (4, lambda n: cdprime(3, n - 1), None),
-    "bicyclic-upper": (4, None, sdprime),
+# graph class -> (least order of its closed-form bounds, least HSO, greatest
+# HSO); each extreme is (the family kinds that attain it, the member whose
+# closed-form HSO at order n is its value).  verify and search read the
+# equality families and the bound values from here and nowhere else.
+_EXTREMES = {
+    "tree": (2, (("path",), path), (("star",), star)),
+    "unicyclic": (3, (("cycle",), cycle), (("sprime",), sprime)),
+    "bicyclic": (4, (("cprime", "cdprime"), lambda n: cdprime(3, n - 1)), (("sdprime",), sdprime)),
+    "connected": (3, (("cycle",), cycle), (("star",), star)),
+}
+
+# theorem -> (its class, whether it bounds the least HSO, whether the greatest)
+_CLASS_BOUNDS = {
+    "tree-bounds": ("tree", True, True),
+    "general-lower": ("connected", True, False),
+    "unicyclic-bounds": ("unicyclic", True, True),
+    "bicyclic-lower": ("bicyclic", True, False),
+    "bicyclic-upper": ("bicyclic", False, True),
 }
 
 
@@ -292,13 +303,14 @@ def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]
     A side without a bound is None.  Known identifiers: tree-bounds,
     general-lower, unicyclic-bounds, bicyclic-lower, bicyclic-upper.
     """
-    if theorem not in _BOUND_FAMILIES:
+    if theorem not in _CLASS_BOUNDS:
         raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")
-    min_n, lower, upper = _BOUND_FAMILIES[theorem]
+    graph_class, bounds_lower, bounds_upper = _CLASS_BOUNDS[theorem]
+    min_n, (_, lower), (_, upper) = _EXTREMES[graph_class]
     if n < min_n:
         raise OrderOutOfRangeError(f"{theorem} is stated for n >= {min_n}, got {n}")
-    return tuple(None if family is None else closed_form_hso(family(n))
-                 for family in (lower, upper))
+    return (closed_form_hso(lower(n)) if bounds_lower else None,
+            closed_form_hso(upper(n)) if bounds_upper else None)
 
 
 def parse_family(text: str) -> FamilySpec:

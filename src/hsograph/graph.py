@@ -122,10 +122,6 @@ class Graph:
         self._check_vertex(v)
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(_bits(self.rows[v]))
-
     def edges(self):
         """Yield edges as (u, v) pairs with u < v, in row order."""
         for u in range(self.n):

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .families import closed_form_hso, is_member, star
+from .families import _EXTREMES, closed_form_hso, is_member
 from .graph import OrderTooLargeError, parse_graph6
 from .indices import hso
 from .enumeration import connected_graphs, graphs_in_class
@@ -67,8 +67,9 @@ class CampaignSummary:
     details: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """Everything but wall_time, so that equal runs give equal dicts."""
+        return {
             "label": self.label,
             "graph_class": self.graph_class,
             "n_lo": self.n_lo,
@@ -81,9 +82,6 @@ class CampaignSummary:
             "eq_upper_witnesses": {str(k): v for k, v in self.eq_upper_witnesses.items()},
             "details": self.details,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def sweep(fn, levels, jobs: int = 1):
@@ -171,10 +169,11 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     """
     if not 2 <= n_lo <= n_hi <= CONJECTURE_MAX_N:
         raise OrderTooLargeError(f"conjecture sweep supports 2 <= n <= {CONJECTURE_MAX_N}")
+    _, _, (max_kinds, max_member) = _EXTREMES["connected"]
     start = time.perf_counter()
     levels = ((n, connected_graphs(n)) for n in range(n_lo, n_hi + 1))
     for n, graphs, values in sweep(_hso_value, levels, jobs):
-        star_value = closed_form_hso(star(n))
+        star_value = closed_form_hso(max_member(n))
         summary = CampaignSummary("search:conjecture", "connected", n, n)
         summary.graphs_examined = len(graphs)
         for g, value in zip(graphs, values):
@@ -185,7 +184,7 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
         _, (best_graph, best_value) = _extremes(graphs, values)
         summary.extremal_max[n] = (best_graph.to_graph6(), best_value)
         summary.details["star_value"] = star_value
-        summary.details["maximizer_is_star"] = is_member(best_graph, "star")
+        summary.details["maximizer_is_star"] = any(is_member(best_graph, k) for k in max_kinds)
         summary.wall_time = time.perf_counter() - start
         start = time.perf_counter()
         yield summary
@@ -199,15 +198,6 @@ def check_conjecture_star_max(
     return summary
 
 
-_EXPECTED_EXTREME = {
-    # class -> (family kinds attaining the minimum, kinds attaining the maximum)
-    "tree": (("path",), ("star",)),
-    "unicyclic": (("cycle",), ("sprime",)),
-    "bicyclic": (("cprime", "cdprime"), ("sdprime",)),
-    "connected": (("cycle",), ("star",)),
-}
-
-
 def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> CampaignSummary:
     """Per-order minimum and maximum HSO over a class, with each extremal
     witness checked against the family the theory says it should be.
@@ -215,9 +205,9 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     A mismatch lands in summary.violations.  Ties resolve to the smallest
     graph6 string, which the sorted streams give for free.
     """
-    if graph_class not in _EXPECTED_EXTREME:
+    if graph_class not in _EXTREMES:
         raise ValueError(f"unknown graph class {graph_class!r}")
-    min_kinds, max_kinds = _EXPECTED_EXTREME[graph_class]
+    _, (min_kinds, _), (max_kinds, _) = _EXTREMES[graph_class]
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
     levels = ((n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1))

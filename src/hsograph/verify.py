@@ -1,15 +1,17 @@
 """Machine checks for every HSO bound and equality characterization.
 
-Each checker takes one graph, verifies the numeric inequality at the given
+check_theorem places one graph in the class and order range that THEOREMS
+registers for the statement, verifies the numeric inequality at the given
 tolerance, flags which side (if any) is attained, classifies the graph
 structurally, and reports whether the numeric equality flags agree with the
 structural characterization the statement asserts.  A bound violation or a
 numeric/structural disagreement is a hard failure for the campaigns built
 on top of these.
 
-Family membership is decided by families.is_member from degrees and
-connectivity, with no canonical labeling, so every checker takes any order
-that graph6 can carry (n <= 62).
+The class bounds and their equality families come from families._EXTREMES,
+and membership is decided by families.is_member from degrees and
+connectivity, so every checker takes any order that graph6 can carry
+(n <= 62).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
-from .families import closed_form_bound, is_member
-from .graph import BICYCLIC, TREE, UNICYCLIC, Graph
+from .families import _EXTREMES, closed_form_bound, is_member
+from .graph import DISCONNECTED, Graph
 from .indices import SQRT2, edge_term, edge_term_bounds, hso
 
 logger = logging.getLogger(__name__)
@@ -123,11 +126,6 @@ def _close(value: float, bound: float, tolerance: float) -> bool:
     return abs(value - bound) <= _slack(bound, tolerance)
 
 
-def _require_connected(g: Graph):
-    if not g.is_connected():
-        raise DisconnectedInputError("checker requires a connected graph")
-
-
 def is_heavy_independent(g: Graph) -> bool:
     """True when g is connected, not regular, and its vertices of degree above
     the minimum form an independent set.
@@ -136,7 +134,8 @@ def is_heavy_independent(g: Graph) -> bool:
     with the regular graphs these are exactly the graphs attaining the upper
     end of the SO/HSO sandwich.
     """
-    _require_connected(g)
+    if not g.is_connected():
+        raise DisconnectedInputError("is_heavy_independent requires a connected graph")
     return _heavy_independent(g)
 
 
@@ -149,28 +148,21 @@ def _heavy_independent(g: Graph) -> bool:
     return all(degs[u] == dmin or degs[v] == dmin for u, v in g.edges())
 
 
-def check_sandwich(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """SO(G)/maxdeg <= HSO(G) <= SO(G)/mindeg.
-
-    The lower end is attained exactly by regular graphs; the upper end by
-    regular graphs and by the heavy-independent class.
-    """
-    _require_connected(g)
-    if g.n < 2:
-        raise OrderTooSmallError("sandwich comparison needs at least one edge")
+def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
+    """The lower end is attained exactly by regular graphs; the upper end by
+    regular graphs and by the heavy-independent class."""
     iv = hso(g)
     regular = g.max_degree == g.min_degree
     heavy = not regular and _heavy_independent(g)
     return _bounded_report(
-        "sandwich", g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
+        theorem, g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
         ("regular", regular),
         ("regular" if regular else "heavy-independent", regular or heavy),
         tolerance,
     )
 
 
-def _bounded_report(theorem, g, value, lower, upper, matches_lower, matches_upper,
-                    tolerance, note=""):
+def _bounded_report(theorem, g, value, lower, upper, matches_lower, matches_upper, tolerance):
     eq_lower = lower is not None and _close(value, lower, tolerance)
     eq_upper = upper is not None and _close(value, upper, tolerance)
     holds = True
@@ -190,48 +182,23 @@ def _bounded_report(theorem, g, value, lower, upper, matches_lower, matches_uppe
     structural = "+".join(tags) if tags else "none"
     return TheoremReport(
         theorem, g.to_graph6(), g.n, value, lower, upper,
-        holds, eq_lower, eq_upper, structural, consistent, note,
+        holds, eq_lower, eq_upper, structural, consistent,
     )
 
 
-def check_tree_bounds(t: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Tree sandwich: path minimizes, star maximizes."""
-    if t.classify() != TREE:
-        raise NotATreeError("input is not a tree")
-    if t.n < 3:
-        raise OrderTooSmallError("tree bounds are stated for n >= 3")
-    lower, upper = closed_form_bound("tree-bounds", t.n)
-    return _bounded_report(
-        "tree-bounds", t, hso(t).hso, lower, upper,
-        ("path", is_member(t, "path")), ("star", is_member(t, "star")),
-        tolerance,
-    )
-
-
-def check_general_lower(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """HSO(G) >= sqrt(2) n for connected G, attained exactly by cycles."""
-    _require_connected(g)
-    if g.n < 3:
-        raise OrderTooSmallError("the general lower bound is stated for n >= 3")
-    lower, _ = closed_form_bound("general-lower", g.n)
-    return _bounded_report(
-        "general-lower", g, hso(g).hso, lower, None,
-        ("cycle", is_member(g, "cycle")), ("", False),
-        tolerance,
-    )
-
-
-def check_unicyclic_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Unicyclic sandwich: cycle minimizes, one-hub triangle-pendant graph maximizes."""
-    if g.classify() != UNICYCLIC:
-        raise NotUnicyclicError("input is not unicyclic")
-    lower, upper = closed_form_bound("unicyclic-bounds", g.n)
-    report = _bounded_report(
-        "unicyclic-bounds", g, hso(g).hso, lower, upper,
-        ("cycle", is_member(g, "cycle")), ("sprime", is_member(g, "sprime")),
-        tolerance,
-    )
-    if g.n <= 4 and report.equality_upper:
+def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
+    """Each bounded side is a closed form from families._EXTREMES, attained
+    exactly by the family kinds listed there for that side."""
+    _, (lower_kinds, _), (upper_kinds, _) = _EXTREMES[THEOREMS[theorem].graph_class]
+    lower, upper = closed_form_bound(theorem, g.n)
+    matches = []
+    for bound, kinds in ((lower, lower_kinds), (upper, upper_kinds)):
+        kind = None if bound is None else next(filter(partial(is_member, g), kinds), None)
+        matches.append((kind, kind is not None))
+    report = _bounded_report(theorem, g, hso(g).hso, lower, upper, *matches, tolerance)
+    if theorem == "bicyclic-lower" and g.n < 6:
+        report.note = "bridged pair needs n >= 6; only merged pairs exist"
+    elif theorem == "unicyclic-bounds" and g.n <= 4 and report.equality_upper:
         # At n <= 4 the maximizer family degenerates (sprime:3 is the
         # triangle); record the fact instead of treating it as a finding.
         report.note = "upper equality at degenerate order"
@@ -239,44 +206,12 @@ def check_unicyclic_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> Th
     return report
 
 
-def check_bicyclic_lower(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Bicyclic lower bound, attained exactly by two cycles joined by a bridge
-    or merged along an edge."""
-    if g.classify() != BICYCLIC:
-        raise NotBicyclicError("input is not bicyclic")
-    lower, _ = closed_form_bound("bicyclic-lower", g.n)
-    bridged = is_member(g, "cprime")
-    return _bounded_report(
-        "bicyclic-lower", g, hso(g).hso, lower, None,
-        ("cprime" if bridged else "cdprime", bridged or is_member(g, "cdprime")), ("", False),
-        tolerance,
-        "" if g.n >= 6 else "bridged pair needs n >= 6; only merged pairs exist",
-    )
-
-
-def check_bicyclic_upper(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Bicyclic upper bound, attained exactly by K4-minus-an-edge with all
-    extra pendants on one degree-3 vertex."""
-    if g.classify() != BICYCLIC:
-        raise NotBicyclicError("input is not bicyclic")
-    _, upper = closed_form_bound("bicyclic-upper", g.n)
-    return _bounded_report(
-        "bicyclic-upper", g, hso(g).hso, None, upper,
-        ("", False), ("sdprime", is_member(g, "sdprime")),
-        tolerance,
-    )
-
-
-def check_edge_count_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Bounds linear in the edge count with maximum/minimum degree coefficients;
-    both ends are attained exactly by regular graphs."""
-    _require_connected(g)
-    if g.n < 2:
-        raise OrderTooSmallError("edge-count bounds need at least one edge")
+def _edge_count_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
+    """Both ends are attained exactly by regular graphs."""
     dmax, dmin = g.max_degree, g.min_degree
     regular = dmax == dmin
     return _bounded_report(
-        "edge-count-bounds", g, hso(g).hso,
+        theorem, g, hso(g).hso,
         (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * g.m,
         (dmax / dmin + SQRT2 - 1.0) * g.m,
         ("regular", regular), ("regular", regular),
@@ -284,7 +219,7 @@ def check_edge_count_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
     )
 
 
-def check_lemma_edge_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
+def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     """Per-edge interval check, parameterized both by the maximum degree and
     by n - 1, with the stated equality degree patterns.
 
@@ -297,9 +232,6 @@ def check_lemma_edge_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
     distinct pair is judged once per call and the edges, walked in order,
     only collect the first four offences for the note.
     """
-    _require_connected(g)
-    if g.n < 3:
-        raise OrderTooSmallError("per-edge bounds need n >= 3")
     degs = g.degrees
     caps = (g.max_degree, g.n - 1)
     verdicts = {}
@@ -316,7 +248,7 @@ def check_lemma_edge_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> T
     kinds = {kind for _, _, offences in verdicts.values() for _, kind in offences}
     note = "" if not bad else f"offending edges: {bad[:4]}"
     return TheoremReport(
-        "lemma-edge-bounds", g.to_graph6(), g.n, hso(g).hso, None, None,
+        theorem, g.to_graph6(), g.n, hso(g).hso, None, None,
         "outside" not in kinds,
         any(eq_lower for eq_lower, _, _ in verdicts.values()),
         any(eq_upper for _, eq_upper, _ in verdicts.values()),
@@ -394,29 +326,63 @@ def check_pendant_split_monotone(n: int, grid: int) -> bool:
 @dataclass(frozen=True)
 class Theorem:
     """A checked statement: its checker, the class it is stated over, and the
-    least order it is stated for."""
+    least order it is stated for.  The checker takes (theorem, g, tolerance)
+    for a g that check_theorem has already placed in the class and order."""
 
-    checker: Callable[[Graph, float], TheoremReport]
+    checker: Callable[[str, Graph, float], TheoremReport]
     graph_class: str
     min_n: int
 
 
 THEOREMS = {
-    "sandwich": Theorem(check_sandwich, "connected", 2),
-    "tree-bounds": Theorem(check_tree_bounds, "tree", 3),
-    "general-lower": Theorem(check_general_lower, "connected", 3),
-    "unicyclic-bounds": Theorem(check_unicyclic_bounds, "unicyclic", 3),
-    "bicyclic-lower": Theorem(check_bicyclic_lower, "bicyclic", 4),
-    "bicyclic-upper": Theorem(check_bicyclic_upper, "bicyclic", 4),
-    "edge-count-bounds": Theorem(check_edge_count_bounds, "connected", 2),
-    "lemma-edge-bounds": Theorem(check_lemma_edge_bounds, "connected", 3),
+    # SO(G)/maxdeg <= HSO(G) <= SO(G)/mindeg
+    "sandwich": Theorem(_sandwich, "connected", 2),
+    # HSO(path) <= HSO(T) <= HSO(star) for every tree T
+    "tree-bounds": Theorem(_class_bounds, "tree", 3),
+    # HSO(G) >= HSO(cycle) = sqrt(2) n for every connected G
+    "general-lower": Theorem(_class_bounds, "connected", 3),
+    # HSO(cycle) <= HSO(G) <= HSO(sprime) for every unicyclic G
+    "unicyclic-bounds": Theorem(_class_bounds, "unicyclic", 3),
+    # HSO(G) >= HSO(cprime) = HSO(cdprime) for every bicyclic G
+    "bicyclic-lower": Theorem(_class_bounds, "bicyclic", 4),
+    # HSO(G) <= HSO(sdprime) for every bicyclic G
+    "bicyclic-upper": Theorem(_class_bounds, "bicyclic", 4),
+    # (1 + mindeg/(sqrt(maxdeg^2+mindeg^2) + maxdeg)) m <= HSO(G) <= (maxdeg/mindeg + sqrt(2)-1) m
+    "edge-count-bounds": Theorem(_edge_count_bounds, "connected", 2),
+    # every edge term lies in its pendant or inner interval, under both caps
+    "lemma-edge-bounds": Theorem(_lemma_edge_bounds, "connected", 3),
+}
+
+_CLASS_ERRORS = {
+    "connected": DisconnectedInputError,
+    "tree": NotATreeError,
+    "unicyclic": NotUnicyclicError,
+    "bicyclic": NotBicyclicError,
 }
 
 
 def check_theorem(theorem: str, g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
-    """Dispatch a graph to the checker registered under the theorem identifier."""
+    """Check g against the registered theorem, after checking that g lies in
+    the theorem's class and order range."""
     try:
-        checker = THEOREMS[theorem].checker
+        record = THEOREMS[theorem]
     except KeyError:
         raise UnknownCheckError(f"unknown theorem identifier {theorem!r}") from None
-    return checker(g, tolerance)
+    graph_class = g.classify()
+    if record.graph_class not in (graph_class, "connected") or graph_class == DISCONNECTED:
+        raise _CLASS_ERRORS[record.graph_class](
+            f"{theorem} is stated over {record.graph_class} graphs, not {graph_class}")
+    if g.n < record.min_n:
+        raise OrderTooSmallError(f"{theorem} is stated for n >= {record.min_n}, got {g.n}")
+    return record.checker(theorem, g, tolerance)
+
+
+# the public checkers: check_<theorem>(g, tolerance) is check_theorem(<theorem>, g, tolerance)
+check_sandwich = partial(check_theorem, "sandwich")
+check_tree_bounds = partial(check_theorem, "tree-bounds")
+check_general_lower = partial(check_theorem, "general-lower")
+check_unicyclic_bounds = partial(check_theorem, "unicyclic-bounds")
+check_bicyclic_lower = partial(check_theorem, "bicyclic-lower")
+check_bicyclic_upper = partial(check_theorem, "bicyclic-upper")
+check_edge_count_bounds = partial(check_theorem, "edge-count-bounds")
+check_lemma_edge_bounds = partial(check_theorem, "lemma-edge-bounds")

@@ -7,8 +7,11 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
-from hsograph import cli
+import pytest
+
+from hsograph import cli, verify
 from hsograph.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -120,6 +123,23 @@ class TestVerify:
         assert run_cli("verify", "tree-bounds", "--n", "3..5", "--class", "unicyclic") == EXIT_USAGE
         assert "stated over tree graphs" in capsys.readouterr().err
         assert run_cli("verify", "bicyclic-lower", "--n", "4", "--class", "connected") == EXIT_USAGE
+
+
+class TestErrorExits:
+    def test_order_zero_is_usage_error(self, capsys):
+        assert run_cli("enumerate", "--n", "0") == EXIT_USAGE
+        assert capsys.readouterr().err == "error: orders start at 1, got '0'\n"
+        assert run_cli("search", "extremal-table", "--class", "tree", "--n", "0..2") == EXIT_USAGE
+        assert capsys.readouterr().err == "error: orders start at 1, got '0..2'\n"
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def faulty(theorem, g, tolerance):
+            raise ValueError("internal fault")
+
+        record = verify.THEOREMS["sandwich"]
+        monkeypatch.setitem(verify.THEOREMS, "sandwich", replace(record, checker=faulty))
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli("verify", "sandwich", "--n", "3..4")
 
 
 class TestSearch:
@@ -236,10 +256,10 @@ class TestDeterminismAndParallel:
 
         def verify(jobs):
             summary, reports = run_verify_campaign("sandwich", 2, 6, jobs=jobs)
-            return summary.to_dict(include_timing=False), reports
+            return summary.to_dict(), reports
 
         def table(jobs):
-            return extremal_table("connected", 3, 6, jobs=jobs).to_dict(include_timing=False)
+            return extremal_table("connected", 3, 6, jobs=jobs).to_dict()
 
         def monotonicity(jobs):
             return [w.to_dict() for w in find_monotonicity_counterexamples(6, jobs=jobs)]

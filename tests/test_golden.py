@@ -49,6 +49,16 @@ GOLDEN = {
         "456e398d3cd6c5656cacaed5d39b4f66e7742853f0c234a53b99e6a084a4258b",
 }
 
+# verify <check> --format json: CSV drops the note column, so these pin the
+# small-order notes (unicyclic upper equality at n <= 4, and no bridged
+# bicyclic pair below n = 6)
+GOLDEN_NOTES = {
+    ("verify", "unicyclic-bounds", "--n", "3..6"):
+        "f30b71ae42cea1eb849a927e83212b091be41eefdfb2d47018a28872c49d7947",
+    ("verify", "bicyclic-lower", "--n", "4..7"):
+        "bd5425d3cac355089e138e9aa1a88a252d788ee0dd01aac810d73163664093fc",
+}
+
 # enumerate: the graph6 streams of the classes the paper's new bounds cover,
 # and the largest default connected and tree levels
 GOLDEN_STREAMS = {
@@ -98,6 +108,11 @@ def test_golden_bytes(argv, tmp_path):
 def test_golden_bytes_with_workers(argv, tmp_path):
     """The worker pool leaves every byte as the serial run writes it."""
     assert _digest(argv, tmp_path, jobs=2) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_NOTES), ids=" ".join)
+def test_golden_notes(argv, tmp_path):
+    assert _out_digest([*argv, "--format", "json", "--jobs", "1"], tmp_path) == GOLDEN_NOTES[argv]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STREAMS), ids=" ".join)

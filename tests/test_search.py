@@ -98,9 +98,7 @@ class TestConjectureSweep:
             check_conjecture_star_max(10)
 
     def test_summary_serialization(self):
-        d = check_conjecture_star_max(4).to_dict()
-        assert "wall_time" in d
-        assert "wall_time" not in check_conjecture_star_max(4).to_dict(include_timing=False)
+        assert "wall_time" not in check_conjecture_star_max(4).to_dict()
 
 
 class TestExtremalTable:
@@ -161,14 +159,14 @@ class TestExtremalTable:
         assert summary.graphs_examined == 1 + 2 + 3 + 6
 
     def test_repeated_runs_identical(self):
-        first = extremal_table("unicyclic", 3, 6).to_dict(include_timing=False)
-        second = extremal_table("unicyclic", 3, 6).to_dict(include_timing=False)
+        first = extremal_table("unicyclic", 3, 6).to_dict()
+        second = extremal_table("unicyclic", 3, 6).to_dict()
         assert first == second
 
     def test_parallel_matches_serial(self):
-        serial = extremal_table("tree", 3, 7, jobs=1).to_dict(include_timing=False)
-        parallel = extremal_table("tree", 3, 7, jobs=3).to_dict(include_timing=False)
+        serial = extremal_table("tree", 3, 7, jobs=1).to_dict()
+        parallel = extremal_table("tree", 3, 7, jobs=3).to_dict()
         assert serial == parallel
-        a = check_conjecture_star_max(6, jobs=1).to_dict(include_timing=False)
-        b = check_conjecture_star_max(6, jobs=2).to_dict(include_timing=False)
+        a = check_conjecture_star_max(6, jobs=1).to_dict()
+        b = check_conjecture_star_max(6, jobs=2).to_dict()
         assert a == b

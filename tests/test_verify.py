@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hsograph import verify
+from hsograph import families, verify
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
 from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
@@ -405,6 +405,59 @@ class TestDispatchAndSweeps:
         assert d["theorem"] == "sandwich" and d["consistent"] is True
         row = r.csv_row()
         assert row[0] == "sandwich" and len(row) == 9
+
+
+CLASS_ERRORS = {
+    "connected": DisconnectedInputError,
+    "tree": NotATreeError,
+    "unicyclic": NotUnicyclicError,
+    "bicyclic": NotBicyclicError,
+}
+
+PUBLIC_CHECKERS = {
+    "sandwich": check_sandwich,
+    "tree-bounds": check_tree_bounds,
+    "general-lower": check_general_lower,
+    "unicyclic-bounds": check_unicyclic_bounds,
+    "bicyclic-lower": check_bicyclic_lower,
+    "bicyclic-upper": check_bicyclic_upper,
+    "edge-count-bounds": check_edge_count_bounds,
+    "lemma-edge-bounds": check_lemma_edge_bounds,
+}
+
+CLASS_MEMBER = {"connected": cycle(5), "tree": path(5), "unicyclic": cycle(5),
+                "bicyclic": cdprime(3, 4)}
+
+
+@pytest.mark.parametrize("theorem", list(verify.THEOREMS))
+def test_registry_contract(theorem):
+    """check_theorem and the public check_* name both refuse a graph outside
+    the registered class with that class's error, and a class graph below
+    the registered least order with OrderTooSmallError."""
+    record = verify.THEOREMS[theorem]
+    error = CLASS_ERRORS[record.graph_class]
+    # two components lie outside every class; K4 is connected, with
+    # cyclomatic number 3
+    outside = [two_components()]
+    if record.graph_class != "connected":
+        outside.append(build(complete(4)))
+    # no unicyclic graph has n < 3 and no bicyclic graph has n < 4, so for
+    # those classes the order check has nothing to refuse
+    too_small = [g for n in range(1, record.min_n) for g in connected_graphs(n)
+                 if record.graph_class in ("connected", g.classify())]
+    assert bool(too_small) == (record.graph_class in ("connected", "tree"))
+    member = build(CLASS_MEMBER[record.graph_class])
+    for check in (lambda g, tol: check_theorem(theorem, g, tol), PUBLIC_CHECKERS[theorem]):
+        for g in outside:
+            with pytest.raises(error):
+                check(g, 1e-9)
+        for g in too_small:
+            with pytest.raises(OrderTooSmallError):
+                check(g, 1e-9)
+        assert check(member, 1e-9) == check_theorem(theorem, member)
+    assert check_theorem(theorem, member).theorem == theorem
+    if theorem in families._CLASS_BOUNDS:
+        assert families._CLASS_BOUNDS[theorem][0] == record.graph_class
 
 
 class TestPastCanonicalReach:
