@@ -15,7 +15,9 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 
 from . import __version__
 from .enumeration import InfeasibleEdgeCountError, connected_graphs_with_edges, graphs_in_class
@@ -105,14 +107,20 @@ def _header_lines(meta: dict) -> str:
     return f"# {_TOOL} {parts}"
 
 
+@contextmanager
+def _output(path):
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
 def _write_text(path, text: str):
     if not text.endswith("\n"):
         text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _csv_text(meta: dict, header, rows) -> str:
@@ -385,15 +393,20 @@ def cmd_enumerate(args) -> int:
     # --edges streams connected graphs whatever --class says
     graph_class = "connected" if args.edges is not None else args.graph_class
     _check_large(graph_class, n_hi, args.allow_large)
-    lines = []
-    for n in range(n_lo, n_hi + 1):
-        if args.edges is not None:
-            stream = connected_graphs_with_edges(n, args.edges)
-        else:
-            stream = graphs_in_class(args.graph_class, n)
-        lines.extend(g.to_graph6() for g in stream)
-    _write_text(args.out, "\n".join(lines))
-    print(len(lines), file=sys.stderr)
+    # the streams check every order when made, so a bad range writes nothing
+    orders = range(n_lo, n_hi + 1)
+    if args.edges is not None:
+        streams = [connected_graphs_with_edges(n, args.edges) for n in orders]
+    else:
+        streams = [graphs_in_class(args.graph_class, n) for n in orders]
+    count = 0
+    with _output(args.out) as fh:
+        for g in chain.from_iterable(streams):
+            fh.write(g.to_graph6() + "\n")
+            count += 1
+        if not count:
+            fh.write("\n")
+    print(count, file=sys.stderr)
     return EXIT_OK
 
 

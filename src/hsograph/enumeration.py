@@ -21,15 +21,21 @@ remove again, up to automorphism:
 
 Each child is kept iff its new vertex or edge lies in the Aut(child) orbit of
 the canonical one.  Then every class appears, and two kept children are
-isomorphic only if they come from the same parent, so a per-parent set of
-canonical codes removes the rest.  The invariant tests run before any
-canonical labeling; the orbits come from the automorphism generators of the
-same labeling search that gives the canonical order.
+isomorphic only if they come from the same parent by augmentations (the new
+vertex's neighbour mask or the added edge, in the parent's labels) in one
+Aut(parent) orbit.  Children from one orbit are isomorphic and pass or fail
+the rule together, so a sibling filter labels one child per orbit and skips
+the rest before any labeling.  The invariant tests also run before any
+canonical labeling.  The orbits come from the automorphism generators of the
+labeling search: the child's for the deletion rule, the parent's for the
+sibling filter.
 
 Streams are deterministic: each level is sorted by canonical code and every
 emitted graph is already in its canonical labeling, so repeated runs yield
 byte-identical graph6 sequences and consumers may slice a stream by index
-ranges for parallel work.
+ranges for parallel work.  The stream functions check their arguments when
+called, before the first graph is asked for, so a caller can reject a bad
+order before it writes anything.
 """
 
 from __future__ import annotations
@@ -71,18 +77,31 @@ def _orbit(mask, generators):
 
 
 def _canonical_deletion(parents, children):
-    """The level grown from parents: every child (rows, new, rivals) whose new
-    vertex or edge (a bitmask) is the canonical one up to automorphism among
-    itself and its rivals (the others that tie with it on invariants), one
-    per class, in canonical labeling and sorted by code."""
+    """The level grown from parents: every child (augmentation, rows, new,
+    rivals) whose new vertex or edge (a bitmask) is the canonical one up to
+    automorphism among itself and its rivals (the others that tie with it on
+    invariants), one per class, in canonical labeling and sorted by code.
+    The augmentation is what the child adds to its parent, as a bitmask in the
+    parent's labels; only the first child of each Aut(parent) orbit of
+    augmentations is labeled."""
     level = []
     for parent in parents:
-        seen = set()
-        for rows, new, rivals in children(parent):
+        tried = set()  # augmentations tried, closed under Aut(parent) once known
+        parent_generators = None
+        for augmentation, rows, new, rivals in children(parent):
+            if tried:
+                if parent_generators is None:
+                    # many parents yield a single child, so the parent's
+                    # group is found only once a second child arrives
+                    _, _, parent_generators = _canonical_code_order(parent.rows, parent.n)
+                    tried = _orbit(tried.pop(), parent_generators)
+                if augmentation in tried:
+                    continue  # isomorphic to a sibling already tried
+                tried |= _orbit(augmentation, parent_generators)
+            else:
+                tried.add(augmentation)
             n = len(rows)
             code, order, generators = _canonical_code_order(rows, n)
-            if code in seen:
-                continue
             if rivals:
                 # the canonical one is the tied set whose vertices sit last
                 # in the canonical order
@@ -93,7 +112,6 @@ def _canonical_deletion(parents, children):
                 chosen = max(placed, key=placed.get)
                 if chosen != new and new not in _orbit(chosen, generators):
                     continue
-            seen.add(code)
             level.append((code, Graph(n, _relabel_rows(rows, order))))
     level.sort()  # codes are distinct, so no two graphs get compared
     return tuple(g for _, g in level)
@@ -137,7 +155,7 @@ def _vertex_children(parent, leaf_only):
         best = score.pop(x)
         if any(s > best for s in score.values()):
             continue
-        yield tuple(rows), top, [1 << v for v, s in score.items() if s == best]
+        yield mask, tuple(rows), top, [1 << v for v, s in score.items() if s == best]
 
 
 def _edge_children(parent):
@@ -180,7 +198,8 @@ def _edge_children(parent):
                 rows = list(base)
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-                yield tuple(rows), 1 << a | 1 << b, rivals
+                new = 1 << a | 1 << b
+                yield new, tuple(rows), new, rivals
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +232,7 @@ def trees(n: int):
         raise ValueError("order must be at least 1")
     if n > TREE_MAX_N:
         raise OrderTooLargeError(f"tree enumeration supports n <= {TREE_MAX_N}")
-    yield from _tree_level(n)
+    return iter(_tree_level(n))
 
 
 def connected_graphs(n: int):
@@ -222,9 +241,7 @@ def connected_graphs(n: int):
         raise ValueError("order must be at least 1")
     if n > CONNECTED_MAX_N:
         raise OrderTooLargeError(f"connected enumeration supports n <= {CONNECTED_MAX_N}")
-    for g in _all_level(n):
-        if g.is_connected():
-            yield g
+    return filter(Graph.is_connected, _all_level(n))
 
 
 def connected_graphs_with_edges(n: int, m: int):
@@ -237,7 +254,7 @@ def connected_graphs_with_edges(n: int, m: int):
         )
     if n > TREE_MAX_N:
         raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}")
-    yield from _edge_level(n, m)
+    return iter(_edge_level(n, m))
 
 
 def unicyclic_graphs(n: int):

@@ -271,6 +271,16 @@ def parse_graph6(text: str) -> Graph:
 # automorphism, i.e. N(u)\{v} = N(v)\{u}.  The minimum leaf code over the
 # search tree is a full isomorphism invariant: equal codes iff isomorphic.
 #
+# Each refinement round counts only against the fresh cells: the parts made
+# by the last round's splits, less the last part of each split (McKay and
+# Piperno, "Practical graph isomorphism, II", 2014).  This gives the same
+# ordered partitions as counting against every cell.  Within every cell the
+# counts against the cells of the round before are equal.  So an unsplit
+# cell neither groups nor orders anything, and the count against the last
+# part of a split is the whole cell's count less the counts against the other
+# parts, which come before it in the count vector.  At the root every degree
+# cell but the last is fresh; after individualizing v only [v] is.
+#
 # The same search yields generators of the automorphism group: the twin
 # transpositions it prunes by, and the map from the best leaf so far to
 # every later leaf with the same code.  Every leaf of the unpruned tree is the
@@ -293,17 +303,14 @@ class CanonicalForm:
     code: int
 
 
-def _refine(rows, cells):
-    """Equitable refinement of an ordered partition (list of vertex lists)."""
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
+def _refine(rows, cells, fresh):
+    """Equitable refinement of an ordered partition (list of vertex lists)
+    whose cells are equitable against every cell but the fresh ones (vertex
+    bitmasks).  A vertex's counts against the fresh cells are packed 4 bits
+    each (at most 15 at n <= 16) into one int, first cell highest."""
+    while fresh:
         new_cells = []
-        changed = False
+        split = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -311,17 +318,23 @@ def _refine(rows, cells):
             keyed = {}
             for v in cell:
                 rv = rows[v]
-                key = tuple((rv & m).bit_count() for m in masks)
+                key = 0
+                for m in fresh:
+                    key = key << 4 | (rv & m).bit_count()
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(keyed):
-                    new_cells.append(keyed[key])
-        if not changed:
-            return new_cells
+                continue
+            parts = [keyed[key] for key in sorted(keyed)]
+            new_cells += parts
+            for part in parts[:-1]:
+                m = 0
+                for v in part:
+                    m |= 1 << v
+                split.append(m)
         cells = new_cells
+        fresh = split
+    return cells
 
 
 def _canonical_code_order(rows, n):
@@ -333,7 +346,8 @@ def _canonical_code_order(rows, n):
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(rows[v].bit_count(), []).append(v)
-    start = _refine(rows, [by_deg[d] for d in sorted(by_deg)])
+    cells = [by_deg[d] for d in sorted(by_deg)]
+    start = _refine(rows, cells, [sum(1 << v for v in cell) for cell in cells[:-1]])
     best_code = None
     best_order = None
     generators = []
@@ -376,7 +390,7 @@ def _canonical_code_order(rows, n):
         post = cells[split_at + 1:]
         for v in reps:
             rest = [u for u in cell if u != v]
-            stack.append(_refine(rows, pre + [[v], rest] + post))
+            stack.append(_refine(rows, pre + [[v], rest] + post, [1 << v]))
     for r, v in twins:
         image = list(range(n))
         image[r], image[v] = v, r

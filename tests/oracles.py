@@ -5,7 +5,9 @@ Unlabeled counts come from the permutation cycle index of the pair action
 plus the multiset (Euler) transform; labeled counts come from the classical
 connected-graph recurrence and from direct bitmask sweeps with a
 self-contained connectivity check; isomorphism at tiny orders is decided by
-brute-force minimization over all vertex permutations.
+brute-force minimization over all vertex permutations.  The plain equitable
+refinement, which counts every vertex against every cell in every round, is
+the reference for the package's refinement.
 """
 
 from __future__ import annotations
@@ -308,6 +310,45 @@ def brute_min_code(n, edge_set):
         if best is None or relabeled < best:
             best = relabeled
     return (n, best)
+
+
+# ---------------------------------------------------------------------------
+# reference equitable refinement
+# ---------------------------------------------------------------------------
+
+
+def reference_refine(rows, cells):
+    """Equitable refinement of an ordered partition (list of vertex lists):
+    every round counts each vertex against every cell.  Kept as the reference
+    for the package's refinement, which counts only against the cells that
+    the last round made."""
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            keyed = {}
+            for v in cell:
+                rv = rows[v]
+                key = tuple((rv & m).bit_count() for m in masks)
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(keyed):
+                    new_cells.append(keyed[key])
+        if not changed:
+            return new_cells
+        cells = new_cells
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,15 @@ class TestEnumerate:
         assert run_cli("enumerate", "--class", "tree", "--n", "5",
                        "--out", str(tmp_path / "nodir" / "x.g6")) == EXIT_USAGE
 
+    def test_bad_order_in_range_writes_nothing(self, tmp_path, capsys):
+        # output is streamed, so every order is checked before the first line
+        out = tmp_path / "trees.g6"
+        assert run_cli("enumerate", "--class", "tree", "--n", "11..13",
+                       "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+        assert run_cli("enumerate", "--n", "3..5", "--edges", "3") == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestDeterminismAndParallel:
     def test_outputs_identical_across_jobs(self, tmp_path):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from hsograph import enumeration
 from hsograph.enumeration import (
     InfeasibleEdgeCountError,
     _all_level,
+    _edge_level,
     _orbit,
+    _tree_level,
     bicyclic_graphs,
     connected_graphs,
     connected_graphs_with_edges,
@@ -177,6 +180,38 @@ class TestAutomorphismGenerators:
                 for u, v in g.edges():
                     edge = 1 << u | 1 << v
                     assert _orbit(edge, generators) == {_image(edge, p) for p in group}
+                # the sibling filter takes orbits of whole neighbour masks
+                for size in range(2, n):
+                    for chosen in combinations(range(n), size):
+                        mask = sum(1 << v for v in chosen)
+                        assert _orbit(mask, generators) == {_image(mask, p) for p in group}
+
+
+class TestLabelingBudget:
+    def test_labeling_calls(self, monkeypatch):
+        """One labeling per Aut(parent) orbit of the children that pass the
+        invariants, plus one for the group of each parent with two or more.
+        Each count covers the levels its call builds beyond those already
+        cached: level 8 of all graphs, the bicyclic n = 9 chain from the
+        trees up, then the tree levels 10..12."""
+        for level in (_all_level, _tree_level, _edge_level):
+            level.cache_clear()
+        _all_level(7)
+        calls = 0
+        label = enumeration._canonical_code_order
+
+        def counted(rows, n):
+            nonlocal calls
+            calls += 1
+            return label(rows, n)
+
+        monkeypatch.setattr(enumeration, "_canonical_code_order", counted)
+        for build, budget in ((lambda: _all_level(8), 14_500),
+                              (lambda: list(bicyclic_graphs(9)), 2_062),
+                              (lambda: list(trees(12)), 1_500)):
+            calls = 0
+            build()
+            assert calls <= budget
 
 
 class TestCaps:

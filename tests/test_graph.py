@@ -25,6 +25,8 @@ from hsograph.graph import (
     SelfLoopError,
     TruncatedBodyError,
     VertexOutOfRangeError,
+    _canonical_code_order,
+    _refine,
     canonical_form,
     canonical_relabel,
     from_edge_list,
@@ -250,3 +252,55 @@ class TestCanonicalForm:
         g = Graph(17, tuple(0 for _ in range(17)))
         with pytest.raises(OrderTooLargeError):
             canonical_form(g)
+
+
+def _refinement_graphs():
+    """Every graph on up to 7 vertices, then seeded random connected graphs
+    and the cycles on 9..16 vertices."""
+    for n in range(1, 8):
+        yield from _all_level(n)
+    rng = random.Random(16)
+    for n in range(9, 17):
+        for chords in (0, n // 2, 2 * n):
+            yield from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
+        yield build(cycle(n))
+
+
+def _mask(cell):
+    return sum(1 << v for v in cell)
+
+
+class TestRefinement:
+    """Refining only against the cells that the last round made gives the
+    ordered partition that counting against every cell gives."""
+
+    def test_partitions_match_reference(self):
+        for g in _refinement_graphs():
+            by_degree = {}
+            for v in range(g.n):
+                by_degree.setdefault(g.degrees[v], []).append(v)
+            cells = [by_degree[d] for d in sorted(by_degree)]
+            root = _refine(g.rows, cells, [_mask(c) for c in cells[:-1]])
+            assert root == oracles.reference_refine(g.rows, cells)
+            # every node of the search tree, without the twin pruning
+            stack = [root]
+            while stack:
+                cells = stack.pop()
+                at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+                if at is None:
+                    continue
+                for v in cells[at]:
+                    rest = [u for u in cells[at] if u != v]
+                    individualized = cells[:at] + [[v], rest] + cells[at + 1:]
+                    refined = _refine(g.rows, individualized, [1 << v])
+                    assert refined == oracles.reference_refine(g.rows, individualized)
+                    stack.append(refined)
+
+    def test_canonical_labeling_matches_reference(self, monkeypatch):
+        graphs = list(_refinement_graphs())
+        labelings = [_canonical_code_order(g.rows, g.n) for g in graphs]
+        forms = [canonical_form(g) for g in graphs]
+        monkeypatch.setattr("hsograph.graph._refine",
+                            lambda rows, cells, fresh: oracles.reference_refine(rows, cells))
+        assert [_canonical_code_order(g.rows, g.n) for g in graphs] == labelings
+        assert [canonical_form(g) for g in graphs] == forms
