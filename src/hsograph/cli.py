@@ -36,7 +36,6 @@ from .verify import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCE,
     THEOREMS,
-    DomainViolationError,
     TheoremReport,
     check_pendant_split_monotone,
     check_theorem,
@@ -206,7 +205,6 @@ def run_verify_campaign(
     graph_class: str | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     jobs: int = 1,
-    grid: int = 1000,
     allow_large: bool = False,
 ) -> tuple[CampaignSummary, list[TheoremReport]]:
     """Sweep a theorem checker over every graph of the class in the order range.
@@ -220,11 +218,10 @@ def run_verify_campaign(
         summary = CampaignSummary(f"verify:{theorem}", "-", n_lo, n_hi)
         if n_lo < 5:
             raise UsageError(f"{theorem} needs n >= 5")
-        failed = [n for n in range(n_lo, n_hi + 1) if not check_pendant_split_monotone(n, grid)]
         summary.graphs_examined = n_hi - n_lo + 1
-        summary.details["grid"] = grid
-        for n in failed:
-            summary.violations.append({"n": n, "reason": "split weight increased"})
+        for n in range(n_lo, n_hi + 1):
+            if not check_pendant_split_monotone(n):
+                summary.violations.append({"n": n, "reason": "split weight increased"})
         summary.wall_time = time.perf_counter() - start
         return summary, []
 
@@ -241,7 +238,8 @@ def run_verify_campaign(
 
     summary = CampaignSummary(f"verify:{theorem}", cls, n_lo, n_hi)
     check = partial(check_theorem, theorem, tolerance=tolerance)
-    levels = ((n, graphs_in_class(cls, n)) for n in range(n_lo, n_hi + 1))
+    # every order is checked before the first level is built
+    levels = [(n, graphs_in_class(cls, n)) for n in range(n_lo, n_hi + 1)]
     reports = [r for _, _, level in sweep(check, levels, jobs) for r in level]
     summary.graphs_examined = len(reports)
     for r in reports:
@@ -330,7 +328,6 @@ def cmd_verify(args) -> int:
         graph_class=args.graph_class,
         tolerance=tolerance,
         jobs=args.jobs,
-        grid=args.grid,
         allow_large=args.allow_large,
     )
     meta = {"check": args.check, "tolerance": tolerance, "n": f"{n_lo}..{n_hi}"}
@@ -393,7 +390,7 @@ def cmd_enumerate(args) -> int:
     # --edges streams connected graphs whatever --class says
     graph_class = "connected" if args.edges is not None else args.graph_class
     _check_large(graph_class, n_hi, args.allow_large)
-    # the streams check every order when made, so a bad range writes nothing
+    # the streams check every order when made, so a bad range builds and writes nothing
     orders = range(n_lo, n_hi + 1)
     if args.edges is not None:
         streams = [connected_graphs_with_edges(n, args.edges) for n in orders]
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", required=True, help="order range A..B (or single order)")
     p_verify.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
                           help="override the check's default graph class")
-    p_verify.add_argument("--grid", type=int, default=1000, help="grid size for f-monotone")
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_verify.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -481,7 +477,7 @@ def main(argv=None) -> int:
             return cmd_enumerate(args)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, GraphError, InvalidParametersError, InfeasibleEdgeCountError,
-            DomainViolationError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

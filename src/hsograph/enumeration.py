@@ -34,8 +34,8 @@ Streams are deterministic: each level is sorted by canonical code and every
 emitted graph is already in its canonical labeling, so repeated runs yield
 byte-identical graph6 sequences and consumers may slice a stream by index
 ranges for parallel work.  The stream functions check their arguments when
-called, before the first graph is asked for, so a caller can reject a bad
-order before it writes anything.
+called but build the level only when the first graph is asked for, so a
+caller can check every order of a range before it builds or writes anything.
 """
 
 from __future__ import annotations
@@ -202,6 +202,11 @@ def _edge_children(parent):
                 yield new, tuple(rows), new, rivals
 
 
+def _on_demand(level, *args):
+    """Iterate level(*args), built when the first graph is asked for."""
+    yield from level(*args)
+
+
 @lru_cache(maxsize=None)
 def _all_level(n):
     """All graphs on n vertices (connected or not), canonical and sorted."""
@@ -232,7 +237,7 @@ def trees(n: int):
         raise ValueError("order must be at least 1")
     if n > TREE_MAX_N:
         raise OrderTooLargeError(f"tree enumeration supports n <= {TREE_MAX_N}")
-    return iter(_tree_level(n))
+    return _on_demand(_tree_level, n)
 
 
 def connected_graphs(n: int):
@@ -241,7 +246,7 @@ def connected_graphs(n: int):
         raise ValueError("order must be at least 1")
     if n > CONNECTED_MAX_N:
         raise OrderTooLargeError(f"connected enumeration supports n <= {CONNECTED_MAX_N}")
-    return filter(Graph.is_connected, _all_level(n))
+    return filter(Graph.is_connected, _on_demand(_all_level, n))
 
 
 def connected_graphs_with_edges(n: int, m: int):
@@ -254,7 +259,7 @@ def connected_graphs_with_edges(n: int, m: int):
         )
     if n > TREE_MAX_N:
         raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}")
-    return iter(_edge_level(n, m))
+    return _on_demand(_edge_level, n, m)
 
 
 def unicyclic_graphs(n: int):

@@ -19,10 +19,9 @@ from .families import _EXTREMES, closed_form_hso, is_member
 from .graph import OrderTooLargeError, parse_graph6
 from .indices import hso
 from .enumeration import connected_graphs, graphs_in_class
-from .verify import DEFAULT_TOLERANCE
+from .verify import DEFAULT_TOLERANCE, _slack
 
 MONOTONICITY_MAX_N = 8
-CONJECTURE_MAX_N = 9
 
 
 @dataclass
@@ -167,17 +166,18 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     the star would be a major find: it lands in summary.violations and is
     never silently dropped.
     """
-    if not 2 <= n_lo <= n_hi <= CONJECTURE_MAX_N:
-        raise OrderTooLargeError(f"conjecture sweep supports 2 <= n <= {CONJECTURE_MAX_N}")
+    if n_lo < 2:
+        raise OrderTooLargeError("conjecture sweep needs n >= 2")
+    # every order is checked before the first level is built
+    levels = [(n, connected_graphs(n)) for n in range(n_lo, n_hi + 1)]
     _, _, (max_kinds, max_member) = _EXTREMES["connected"]
     start = time.perf_counter()
-    levels = ((n, connected_graphs(n)) for n in range(n_lo, n_hi + 1))
     for n, graphs, values in sweep(_hso_value, levels, jobs):
         star_value = closed_form_hso(max_member(n))
         summary = CampaignSummary("search:conjecture", "connected", n, n)
         summary.graphs_examined = len(graphs)
         for g, value in zip(graphs, values):
-            if value > star_value + tolerance * max(1.0, star_value):
+            if value > star_value + _slack(star_value, tolerance):
                 summary.violations.append(
                     {"graph6": g.to_graph6(), "value": value, "star_value": star_value}
                 )
@@ -210,7 +210,7 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     _, (min_kinds, _), (max_kinds, _) = _EXTREMES[graph_class]
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
-    levels = ((n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1))
+    levels = [(n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1)]
     for n, graphs, values in sweep(_hso_value, levels, jobs):
         summary.graphs_examined += len(graphs)
         lo, hi = _extremes(graphs, values)

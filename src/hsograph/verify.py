@@ -298,29 +298,26 @@ def pendant_split_weight(x: float, n: int) -> float:
     return x * math.sqrt(a * a + 1.0) + (n - x - 3.0) * math.sqrt(b * b + 1.0)
 
 
-def check_pendant_split_monotone(n: int, grid: int) -> bool:
-    """Scan the split weight over a uniform grid and confirm it never increases.
+def check_pendant_split_monotone(n: int) -> bool:
+    """Decide in integer arithmetic that the split weight never increases on
+    its domain 1 <= x <= hi = floor((n-3)/2).
 
-    True iff consecutive grid values are non-increasing and every central
-    finite-difference slope is at most +1e-9.
+    With h(t) = (t-2)*sqrt(t^2+1) the weight is h(x+2) + h(n-1-x), and
+    h''(t)*(t^2+1)^(3/2) = 2t^3+3t-2 > 0 for t >= 1, so the weight is convex
+    in x and never increases on the domain iff its slope at x = hi is <= 0.
     """
     if n < 5:
         raise DomainViolationError("the split weight needs n >= 5")
-    if grid < 2:
-        raise DomainViolationError("grid must have at least 2 points")
-    hi = (n - 3) // 2
-    if hi <= 1:
-        return True  # single-point domain
-    step = (hi - 1.0) / (grid - 1)
-    values = [pendant_split_weight(1.0 + i * step, n) for i in range(grid)]
-    for prev, cur in zip(values, values[1:]):
-        if cur > prev + 1e-9:
-            return False
-    for i in range(1, grid - 1):
-        slope = (values[i + 1] - values[i - 1]) / (2.0 * step)
-        if slope > 1e-9:
-            return False
-    return True
+    return _split_slope_nonpositive((n - 3) // 2, n)
+
+
+def _split_slope_nonpositive(x: int, n: int) -> bool:
+    """Whether the slope h'(a) - h'(b) of the split weight at integer x is
+    <= 0, with a = x+2 and b = n-1-x.  As h'(t) = P(t)/sqrt(t^2+1) with
+    P(t) = 2t^2-2t+1 > 0, that is P(a)^2 (b^2+1) <= P(b)^2 (a^2+1)."""
+    a, b = x + 2, n - 1 - x
+    pa, pb = 2 * a * a - 2 * a + 1, 2 * b * b - 2 * b + 1
+    return pa * pa * (b * b + 1) <= pb * pb * (a * a + 1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,40 @@ def reference_refine(rows, cells):
         if not changed:
             return new_cells
         cells = new_cells
+
+
+# ---------------------------------------------------------------------------
+# the pendant-split weight scanned on a float grid
+# ---------------------------------------------------------------------------
+
+
+def reference_pendant_split_scan(n, grid=1000):
+    """Sample the split weight x*sqrt((x+2)^2+1) + (n-x-3)*sqrt((n-x-1)^2+1)
+    on a uniform grid over [1, floor((n-3)/2)] and confirm it never increases.
+
+    True iff consecutive grid values are non-increasing and every central
+    finite-difference slope is at most +1e-9.  This scan decided the check
+    before the exact convexity test replaced it.
+    """
+    hi = (n - 3) // 2
+    if hi <= 1:
+        return True  # single-point domain
+
+    def weight(x):
+        a = x + 2.0
+        b = n - x - 1.0
+        return x * sqrt(a * a + 1.0) + (n - x - 3.0) * sqrt(b * b + 1.0)
+
+    step = (hi - 1.0) / (grid - 1)
+    values = [weight(1.0 + i * step) for i in range(grid)]
+    for prev, cur in zip(values, values[1:]):
+        if cur > prev + 1e-9:
+            return False
+    for i in range(1, grid - 1):
+        slope = (values[i + 1] - values[i - 1]) / (2.0 * step)
+        if slope > 1e-9:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

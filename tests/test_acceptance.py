@@ -200,9 +200,9 @@ def test_criterion_6_per_edge_bounds():
 
 
 def test_criterion_7_pendant_split_monotone():
-    with _Criterion(7, 5, "pendant split weight non-increasing for 5 <= n <= 200"):
-        for n in range(5, 201):
-            assert check_pendant_split_monotone(n, 1000)
+    with _Criterion(7, 5, "pendant split weight non-increasing for 5 <= n <= 2000"):
+        for n in range(5, 2001):
+            assert check_pendant_split_monotone(n)
 
 
 def test_criterion_8_monotonicity_reproduction():

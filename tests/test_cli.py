@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,8 +12,9 @@ from dataclasses import replace
 
 import pytest
 
-from hsograph import cli, verify
+from hsograph import cli, enumeration, search, verify
 from hsograph.cli import (
+    EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -97,6 +99,13 @@ class TestVerify:
 
     def test_pendant_split_check(self, capsys):
         assert run_cli("verify", "f-monotone", "--n", "5..60") == EXIT_OK
+        # a float grid overshot the domain at n = 255 and exited 2
+        assert run_cli("verify", "f-monotone", "--n", "5..10000") == EXIT_OK
+
+    def test_pendant_split_takes_no_grid(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "f-monotone", "--n", "5..40", "--grid", "10")
+        assert exc.value.code == EXIT_USAGE
 
     def test_range_below_statement_is_usage_error(self):
         assert run_cli("verify", "tree-bounds", "--n", "2..5") == EXIT_USAGE
@@ -132,6 +141,25 @@ class TestErrorExits:
         assert run_cli("search", "extremal-table", "--class", "tree", "--n", "0..2") == EXIT_USAGE
         assert capsys.readouterr().err == "error: orders start at 1, got '0..2'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "bicyclic-lower", "--n", "4..13"),
+        ("verify", "unicyclic-bounds", "--n", "3..13"),
+        ("verify", "sandwich", "--n", "2..10", "--allow-large"),
+        ("search", "extremal-table", "--class", "unicyclic", "--n", "3..13"),
+        ("search", "conjecture", "--n", "2..10", "--allow-large"),
+        ("enumerate", "--class", "bicyclic", "--n", "4..13"),
+    ])
+    def test_order_past_cap_fails_before_any_work(self, argv, monkeypatch, capsys):
+        # the top order is past its class cap: no level is built, no graph checked
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the order check")
+
+        for name in ("_all_level", "_tree_level", "_edge_level"):
+            monkeypatch.setattr(enumeration, name, no_work)
+        monkeypatch.setattr(cli, "check_theorem", no_work)
+        assert run_cli(*argv) == EXIT_USAGE
+        assert "enumeration supports n <=" in capsys.readouterr().err
+
     def test_internal_value_error_propagates(self, monkeypatch):
         def faulty(theorem, g, tolerance):
             raise ValueError("internal fault")
@@ -162,6 +190,18 @@ class TestSearch:
         assert run_cli("search", "conjecture", "--n", "4..5") == EXIT_OK
         err = capsys.readouterr().err
         assert "is_star=True" in err
+
+    def test_conjecture_counterexample_exits_3(self, monkeypatch, capsys):
+        # with the star's value lowered by 1, the star and C^ beat it at n = 4
+        closed_form_hso = search.closed_form_hso
+        monkeypatch.setattr(search, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
+        assert run_cli("search", "conjecture", "--n", "4", "--format", "json") == EXIT_COUNTEREXAMPLE
+        violations = json.loads(capsys.readouterr().out)["summary"]["violations"]
+        assert [v["graph6"] for v in violations] == ["CF", "C^"]
+        for v in violations:
+            assert abs(v["star_value"] - (3 * math.sqrt(10) - 1.0)) < 1e-12
+            assert v["value"] > v["star_value"]
+        assert abs(violations[0]["value"] - 3 * math.sqrt(10)) < 1e-12
 
     def test_conjecture_needs_n(self):
         assert run_cli("search", "conjecture") == EXIT_USAGE

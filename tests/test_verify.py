@@ -355,15 +355,49 @@ class TestPendantSplitWeight:
             pendant_split_weight(1, 4)
 
     def test_monotone_scan(self):
-        assert check_pendant_split_monotone(10, 100)
-        assert check_pendant_split_monotone(200, 1000)
+        assert check_pendant_split_monotone(10)
+        assert check_pendant_split_monotone(200)
 
     def test_single_point_domain(self):
-        assert check_pendant_split_monotone(5, 2)
+        assert check_pendant_split_monotone(5)
+        assert check_pendant_split_monotone(6)
 
-    def test_bad_grid(self):
+    def test_order_below_domain(self):
         with pytest.raises(DomainViolationError):
-            check_pendant_split_monotone(10, 1)
+            check_pendant_split_monotone(4)
+
+    def test_slope_test_fails_one_step_past_domain(self):
+        # the planted fault: at x = hi + 1 the heavier hub takes the larger
+        # share, so the slope is positive and the test must say so
+        for n in range(5, 201):
+            assert not verify._split_slope_nonpositive((n - 3) // 2 + 1, n), n
+
+    def test_agrees_with_grid_scan(self):
+        for n in range(5, 201):
+            assert check_pendant_split_monotone(n) == oracles.reference_pendant_split_scan(n), n
+
+    def test_sympy_certificate(self):
+        sp = pytest.importorskip("sympy")
+        x, n, t, s = sp.symbols("x n t s", positive=True)
+
+        def h(u):
+            return (u - 2) * sp.sqrt(u * u + 1)
+
+        weight = x * sp.sqrt((x + 2) ** 2 + 1) + (n - x - 3) * sp.sqrt((n - x - 1) ** 2 + 1)
+        assert sp.simplify(weight - h(x + 2) - h(n - 1 - x)) == 0
+        for xv, nv in ((1, 10), (2, 10), (3, 11), (7, 41)):
+            exact = float(weight.subs({x: xv, n: nv}))
+            assert abs(pendant_split_weight(xv, nv) - exact) <= 1e-12 * exact
+        # h' = P / sqrt(t^2+1) and h'' (t^2+1)^(3/2) = 2t^3+3t-2
+        p = 2 * t * t - 2 * t + 1
+        assert sp.simplify(sp.diff(h(t), t) - p / sp.sqrt(t * t + 1)) == 0
+        curvature = sp.diff(h(t), t, 2) * (t * t + 1) ** sp.Rational(3, 2)
+        assert sp.expand(sp.simplify(curvature - (2 * t ** 3 + 3 * t - 2))) == 0
+        # at t = 1 + s both polynomials have only positive coefficients, so
+        # they are positive for every t >= 1
+        for poly in (p, 2 * t ** 3 + 3 * t - 2):
+            coeffs = sp.Poly(sp.expand(poly.subs(t, 1 + s)), s).all_coeffs()
+            assert all(c > 0 for c in coeffs), coeffs
 
 
 class TestDispatchAndSweeps:
