@@ -17,7 +17,8 @@ from .graph import (
     parse_graph6,
 )
 from .indices import EdgeTerm, IndexValue, edge_term, edge_term_bounds, hso, so
-from .families import FamilySpec, build, closed_form_bound, closed_form_hso, parse_family
+from .families import FamilySpec, build, closed_form_hso, parse_family
+from .verify import closed_form_bound
 
 __all__ = [
     "Graph",

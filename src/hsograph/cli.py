@@ -95,10 +95,21 @@ def _check_large(graph_class: str, n_hi: int, allow_large: bool):
         raise UsageError("connected sweeps above n = 8 need --allow-large")
 
 
-def _check_tolerance(tolerance: float) -> float:
+def _check_tolerance(tolerance: float | None) -> float:
+    if tolerance is None:
+        return DEFAULT_TOLERANCE
     if not 0.0 < tolerance <= 1e-3:
         raise UsageError("tolerance must lie in (0, 1e-3]")
     return tolerance
+
+
+def _refuse(args, command: str, *dests: str):
+    """Raise UsageError naming the first of these options given: command never reads it."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            flag = "--class" if dest == "graph_class" else "--" + dest.replace("_", "-")
+            raise UsageError(f"{command} takes no {flag}")
 
 
 def _header_lines(meta: dict) -> str:
@@ -319,6 +330,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.check == PENDANT_SPLIT_CHECK:
+        _refuse(args, f"verify {args.check}", "graph_class", "tolerance", "allow_large")
     n_lo, n_hi = _parse_range(args.n)
     tolerance = _check_tolerance(args.tolerance)
     summary, reports = run_verify_campaign(
@@ -342,19 +355,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    tolerance = _check_tolerance(args.tolerance)
+    command = f"search {args.kind}"
     if args.kind == "monotonicity":
-        witnesses = find_monotonicity_counterexamples(args.n_max, tolerance, args.jobs)
+        _refuse(args, command, "n", "graph_class", "allow_large")
+        tolerance = _check_tolerance(args.tolerance)
+        n_max = 5 if args.n_max is None else args.n_max
+        witnesses = find_monotonicity_counterexamples(n_max, tolerance, args.jobs)
         if args.target_delta is not None:
             witnesses = witnesses_with_delta(witnesses, args.target_delta, tolerance)
-        meta = {"check": "monotonicity", "tolerance": tolerance, "n_max": args.n_max}
+        meta = {"check": "monotonicity", "tolerance": tolerance, "n_max": n_max}
         _write_text(args.out, _render_witnesses(witnesses, args.format, meta))
         print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
         return EXIT_OK
+    # conjecture and extremal-table sweep an order range
+    _refuse(args, command, "n_max", "target_delta")
+    if args.n is None:
+        raise UsageError(f"{command} needs --n")
+    n_lo, n_hi = _parse_range(args.n)
     if args.kind == "conjecture":
-        if args.n is None:
-            raise UsageError("search conjecture needs --n")
-        n_lo, n_hi = _parse_range(args.n)
+        _refuse(args, command, "graph_class")
+        tolerance = _check_tolerance(args.tolerance)
         _check_large("connected", n_hi, args.allow_large)
         exit_code = EXIT_OK
         outputs = []
@@ -373,16 +393,14 @@ def cmd_search(args) -> int:
             )
         _write_text(args.out, "\n".join(outputs))
         return exit_code
-    if args.kind == "extremal-table":
-        if args.n is None:
-            raise UsageError("search extremal-table needs --n")
-        n_lo, n_hi = _parse_range(args.n)
-        _check_large(args.graph_class, n_hi, args.allow_large)
-        summary = extremal_table(args.graph_class, n_lo, n_hi, jobs=args.jobs)
-        meta = {"check": "extremal-table", "class": args.graph_class, "n": f"{n_lo}..{n_hi}"}
-        _write_text(args.out, _render_summary(summary, args.format, meta))
-        return EXIT_OK if not summary.violations else EXIT_VIOLATION
-    raise UsageError(f"unknown search kind {args.kind!r}")
+    # extremal-table, the last of the kinds that argparse admits
+    _refuse(args, command, "tolerance")
+    graph_class = args.graph_class or "connected"
+    _check_large(graph_class, n_hi, args.allow_large)
+    summary = extremal_table(graph_class, n_lo, n_hi, jobs=args.jobs)
+    meta = {"check": "extremal-table", "class": graph_class, "n": f"{n_lo}..{n_hi}"}
+    _write_text(args.out, _render_summary(summary, args.format, meta))
+    return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 
 def cmd_enumerate(args) -> int:
@@ -427,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", required=True, help="order range A..B (or single order)")
     p_verify.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
                           help="override the check's default graph class")
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_verify.add_argument("--tolerance", type=float)
     p_verify.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.add_argument("--out", help="write per-graph reports to this path")
@@ -435,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="counterexample and extremal campaigns")
     p_search.add_argument("kind", choices=("monotonicity", "conjecture", "extremal-table"))
-    p_search.add_argument("--n-max", type=int, default=5, help="monotonicity: max order")
+    p_search.add_argument("--n-max", type=int, help="monotonicity: max order (default: 5)")
     p_search.add_argument("--n", help="order or range for conjecture/extremal-table")
     p_search.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
-                          default="connected")
+                          help="extremal-table: graph class (default: connected)")
     p_search.add_argument("--target-delta", type=float, default=None,
                           help="monotonicity: keep witnesses with this exact HSO drop")
-    p_search.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_search.add_argument("--tolerance", type=float)
     p_search.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_search.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_search.add_argument("--out", help="write witnesses/tables to this path")

@@ -276,41 +276,16 @@ def closed_form_hso(spec: FamilySpec) -> float:
     raise InvalidParametersError(f"unknown family kind {kind!r}")
 
 
-# graph class -> (least order of its closed-form bounds, least HSO, greatest
-# HSO); each extreme is (the family kinds that attain it, the member whose
-# closed-form HSO at order n is its value).  verify and search read the
+# graph class -> (least HSO, greatest HSO); each extreme is (the family
+# kinds that attain it, the member whose closed-form HSO at order n is its
+# value, the least order of that closed form).  verify and search read the
 # equality families and the bound values from here and nowhere else.
 _EXTREMES = {
-    "tree": (2, (("path",), path), (("star",), star)),
-    "unicyclic": (3, (("cycle",), cycle), (("sprime",), sprime)),
-    "bicyclic": (4, (("cprime", "cdprime"), lambda n: cdprime(3, n - 1)), (("sdprime",), sdprime)),
-    "connected": (3, (("cycle",), cycle), (("star",), star)),
+    "tree": ((("path",), path, 2), (("star",), star, 2)),
+    "unicyclic": ((("cycle",), cycle, 3), (("sprime",), sprime, 3)),
+    "bicyclic": ((("cprime", "cdprime"), lambda n: cdprime(3, n - 1), 4), (("sdprime",), sdprime, 4)),
+    "connected": ((("cycle",), cycle, 3), (("star",), star, 2)),
 }
-
-# theorem -> (its class, whether it bounds the least HSO, whether the greatest)
-_CLASS_BOUNDS = {
-    "tree-bounds": ("tree", True, True),
-    "general-lower": ("connected", True, False),
-    "unicyclic-bounds": ("unicyclic", True, True),
-    "bicyclic-lower": ("bicyclic", True, False),
-    "bicyclic-upper": ("bicyclic", False, True),
-}
-
-
-def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]:
-    """Order-parameterized bound values (lower, upper) for a named theorem.
-
-    A side without a bound is None.  Known identifiers: tree-bounds,
-    general-lower, unicyclic-bounds, bicyclic-lower, bicyclic-upper.
-    """
-    if theorem not in _CLASS_BOUNDS:
-        raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")
-    graph_class, bounds_lower, bounds_upper = _CLASS_BOUNDS[theorem]
-    min_n, (_, lower), (_, upper) = _EXTREMES[graph_class]
-    if n < min_n:
-        raise OrderOutOfRangeError(f"{theorem} is stated for n >= {min_n}, got {n}")
-    return (closed_form_hso(lower(n)) if bounds_lower else None,
-            closed_form_hso(upper(n)) if bounds_upper else None)
 
 
 def parse_family(text: str) -> FamilySpec:

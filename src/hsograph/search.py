@@ -1,8 +1,8 @@
 """Counterexample and extremal-value campaigns over enumerated graph classes.
 
 Three searches live here: the edge-addition monotonicity hunt (adding an
-edge can lower HSO, and the witnesses prove it), the sweep that checks the
-star is the HSO maximizer among connected graphs order by order, and the
+edge can lower HSO, and the witnesses prove it), the conjecture sweep that
+reports the star-max theorem of verify.THEOREMS order by order, and the
 per-order extremal tables cross-checked against the characterized families.
 """
 
@@ -14,12 +14,13 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter, itemgetter
 
-from .families import _EXTREMES, closed_form_hso, is_member
+from .families import _EXTREMES, is_member
 from .graph import OrderTooLargeError, parse_graph6
 from .indices import hso
 from .enumeration import connected_graphs, graphs_in_class
-from .verify import DEFAULT_TOLERANCE, _slack
+from .verify import DEFAULT_TOLERANCE, THEOREMS, check_theorem
 
 MONOTONICITY_MAX_N = 8
 
@@ -101,13 +102,6 @@ def sweep(fn, levels, jobs: int = 1):
             yield n, graphs, values
 
 
-def _extremes(graphs, values):
-    """(graph, value) of the first minimum and of the first maximum, in stream order."""
-    lo = min(range(len(values)), key=values.__getitem__)
-    hi = max(range(len(values)), key=values.__getitem__)
-    return (graphs[lo], values[lo]), (graphs[hi], values[hi])
-
-
 def _hso_value(g) -> float:
     return hso(g).hso
 
@@ -159,32 +153,30 @@ def witnesses_with_delta(
 
 
 def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1):
-    """Yield one summary per order n_lo..n_hi, each testing whether any
-    connected graph of that order exceeds the star's HSO value.
+    """Yield one summary per order n_lo..n_hi of the star-max theorem checked
+    on every connected graph of that order, all through one worker pool.
 
-    One sweep, so one worker pool, serves the whole range.  A graph beating
-    the star would be a major find: it lands in summary.violations and is
-    never silently dropped.
+    A report that does not hold or is not consistent would be a major find:
+    it lands in summary.violations and is never silently dropped.
     """
-    if n_lo < 2:
-        raise OrderTooLargeError("conjecture sweep needs n >= 2")
+    min_n = THEOREMS["star-max"].min_n
+    if n_lo < min_n:
+        raise OrderTooLargeError(f"conjecture sweep needs n >= {min_n}")
     # every order is checked before the first level is built
     levels = [(n, connected_graphs(n)) for n in range(n_lo, n_hi + 1)]
-    _, _, (max_kinds, max_member) = _EXTREMES["connected"]
+    check = partial(check_theorem, "star-max", tolerance=tolerance)
     start = time.perf_counter()
-    for n, graphs, values in sweep(_hso_value, levels, jobs):
-        star_value = closed_form_hso(max_member(n))
-        summary = CampaignSummary("search:conjecture", "connected", n, n)
-        summary.graphs_examined = len(graphs)
-        for g, value in zip(graphs, values):
-            if value > star_value + _slack(star_value, tolerance):
-                summary.violations.append(
-                    {"graph6": g.to_graph6(), "value": value, "star_value": star_value}
-                )
-        _, (best_graph, best_value) = _extremes(graphs, values)
-        summary.extremal_max[n] = (best_graph.to_graph6(), best_value)
-        summary.details["star_value"] = star_value
-        summary.details["maximizer_is_star"] = any(is_member(best_graph, k) for k in max_kinds)
+    for n, _, reports in sweep(check, levels, jobs):
+        summary = CampaignSummary("search:conjecture", "connected", n, n,
+                                  graphs_examined=len(reports))
+        summary.violations = [{"graph6": r.graph6, "value": r.value, "star_value": r.bound_upper}
+                              for r in reports if not (r.holds and r.consistent)]
+        # max keeps the first greatest report, in stream order
+        best = max(reports, key=attrgetter("value"))
+        summary.extremal_max[n] = (best.graph6, best.value)
+        summary.details["star_value"] = best.bound_upper
+        # star-max bounds only the upper side, so any structural tag is the star
+        summary.details["maximizer_is_star"] = best.structural_class != "none"
         summary.wall_time = time.perf_counter() - start
         start = time.perf_counter()
         yield summary
@@ -207,13 +199,14 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     """
     if graph_class not in _EXTREMES:
         raise ValueError(f"unknown graph class {graph_class!r}")
-    _, (min_kinds, _), (max_kinds, _) = _EXTREMES[graph_class]
+    (min_kinds, _, _), (max_kinds, _, _) = _EXTREMES[graph_class]
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
     levels = [(n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1)]
     for n, graphs, values in sweep(_hso_value, levels, jobs):
         summary.graphs_examined += len(graphs)
-        lo, hi = _extremes(graphs, values)
+        pairs = list(zip(graphs, values))
+        lo, hi = min(pairs, key=itemgetter(1)), max(pairs, key=itemgetter(1))
         for side, (g, value), kinds, table in (
             ("min", lo, min_kinds, summary.extremal_min),
             ("max", hi, max_kinds, summary.extremal_max),

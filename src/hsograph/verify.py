@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from .families import _EXTREMES, closed_form_bound, is_member
+from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
 from .indices import SQRT2, edge_term, edge_term_bounds, hso
 
@@ -163,36 +163,27 @@ def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
 
 
 def _bounded_report(theorem, g, value, lower, upper, matches_lower, matches_upper, tolerance):
+    """Each matches_* is (structural tag, whether g is in that side's equality
+    class); a side whose bound is None is neither checked nor attained."""
     eq_lower = lower is not None and _close(value, lower, tolerance)
     eq_upper = upper is not None and _close(value, upper, tolerance)
-    holds = True
-    if lower is not None and value < lower - _slack(lower, tolerance):
-        holds = False
-    if upper is not None and value > upper + _slack(upper, tolerance):
-        holds = False
-    consistent = True
-    if lower is not None:
-        consistent = consistent and (eq_lower == matches_lower[1])
-    if upper is not None:
-        consistent = consistent and (eq_upper == matches_upper[1])
-    tags = []
-    for name, flag in (matches_lower, matches_upper):
-        if flag and name not in tags:
-            tags.append(name)
-    structural = "+".join(tags) if tags else "none"
+    holds = not (lower is not None and value < lower - _slack(lower, tolerance)
+                 or upper is not None and value > upper + _slack(upper, tolerance))
+    consistent = ((lower is None or eq_lower == matches_lower[1])
+                  and (upper is None or eq_upper == matches_upper[1]))
+    tags = dict.fromkeys(name for name, flag in (matches_lower, matches_upper) if flag)
     return TheoremReport(
         theorem, g.to_graph6(), g.n, value, lower, upper,
-        holds, eq_lower, eq_upper, structural, consistent,
+        holds, eq_lower, eq_upper, "+".join(tags) or "none", consistent,
     )
 
 
 def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     """Each bounded side is a closed form from families._EXTREMES, attained
     exactly by the family kinds listed there for that side."""
-    _, (lower_kinds, _), (upper_kinds, _) = _EXTREMES[THEOREMS[theorem].graph_class]
     lower, upper = closed_form_bound(theorem, g.n)
     matches = []
-    for bound, kinds in ((lower, lower_kinds), (upper, upper_kinds)):
+    for bound, (kinds, _, _) in zip((lower, upper), _EXTREMES[THEOREMS[theorem].graph_class]):
         kind = None if bound is None else next(filter(partial(is_member, g), kinds), None)
         matches.append((kind, kind is not None))
     report = _bounded_report(theorem, g, hso(g).hso, lower, upper, *matches, tolerance)
@@ -322,33 +313,53 @@ def _split_slope_nonpositive(x: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class Theorem:
-    """A checked statement: its checker, the class it is stated over, and the
-    least order it is stated for.  The checker takes (theorem, g, tolerance)
-    for a g that check_theorem has already placed in the class and order."""
+    """A checked statement: its checker, class and least order, and whether
+    its class's least and greatest HSO in families._EXTREMES bound it.  The
+    checker takes (theorem, g, tolerance) for a g already in that class and order."""
 
     checker: Callable[[str, Graph, float], TheoremReport]
     graph_class: str
     min_n: int
+    bounds: tuple[bool, bool] = (False, False)
 
 
 THEOREMS = {
     # SO(G)/maxdeg <= HSO(G) <= SO(G)/mindeg
     "sandwich": Theorem(_sandwich, "connected", 2),
     # HSO(path) <= HSO(T) <= HSO(star) for every tree T
-    "tree-bounds": Theorem(_class_bounds, "tree", 3),
+    "tree-bounds": Theorem(_class_bounds, "tree", 3, (True, True)),
     # HSO(G) >= HSO(cycle) = sqrt(2) n for every connected G
-    "general-lower": Theorem(_class_bounds, "connected", 3),
+    "general-lower": Theorem(_class_bounds, "connected", 3, (True, False)),
+    # HSO(G) <= HSO(star) = (n-1) sqrt(n^2-2n+2) for every connected G
+    "star-max": Theorem(_class_bounds, "connected", 2, (False, True)),
     # HSO(cycle) <= HSO(G) <= HSO(sprime) for every unicyclic G
-    "unicyclic-bounds": Theorem(_class_bounds, "unicyclic", 3),
+    "unicyclic-bounds": Theorem(_class_bounds, "unicyclic", 3, (True, True)),
     # HSO(G) >= HSO(cprime) = HSO(cdprime) for every bicyclic G
-    "bicyclic-lower": Theorem(_class_bounds, "bicyclic", 4),
+    "bicyclic-lower": Theorem(_class_bounds, "bicyclic", 4, (True, False)),
     # HSO(G) <= HSO(sdprime) for every bicyclic G
-    "bicyclic-upper": Theorem(_class_bounds, "bicyclic", 4),
+    "bicyclic-upper": Theorem(_class_bounds, "bicyclic", 4, (False, True)),
     # (1 + mindeg/(sqrt(maxdeg^2+mindeg^2) + maxdeg)) m <= HSO(G) <= (maxdeg/mindeg + sqrt(2)-1) m
     "edge-count-bounds": Theorem(_edge_count_bounds, "connected", 2),
     # every edge term lies in its pendant or inner interval, under both caps
     "lemma-edge-bounds": Theorem(_lemma_edge_bounds, "connected", 3),
 }
+
+
+def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]:
+    """Bound values (lower, upper) at order n of a THEOREMS row with a bounded
+    side, None on an unbounded side.  They start at the least order of the
+    bounded closed forms, which can lie below the theorem's own (K2 for trees)."""
+    record = THEOREMS.get(theorem)
+    if record is None or not any(record.bounds):
+        raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")
+    bounds_lower, bounds_upper = record.bounds
+    (_, lower, lower_n), (_, upper, upper_n) = _EXTREMES[record.graph_class]
+    min_n = max(lower_n if bounds_lower else 0, upper_n if bounds_upper else 0)
+    if n < min_n:
+        raise OrderOutOfRangeError(f"{theorem} is stated for n >= {min_n}, got {n}")
+    return (closed_form_hso(lower(n)) if bounds_lower else None,
+            closed_form_hso(upper(n)) if bounds_upper else None)
+
 
 _CLASS_ERRORS = {
     "connected": DisconnectedInputError,
@@ -378,6 +389,7 @@ def check_theorem(theorem: str, g: Graph, tolerance: float = DEFAULT_TOLERANCE) 
 check_sandwich = partial(check_theorem, "sandwich")
 check_tree_bounds = partial(check_theorem, "tree-bounds")
 check_general_lower = partial(check_theorem, "general-lower")
+check_star_max = partial(check_theorem, "star-max")
 check_unicyclic_bounds = partial(check_theorem, "unicyclic-bounds")
 check_bicyclic_lower = partial(check_theorem, "bicyclic-lower")
 check_bicyclic_upper = partial(check_theorem, "bicyclic-upper")

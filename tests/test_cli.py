@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from hsograph import cli, enumeration, search, verify
+from hsograph import cli, enumeration, verify
 from hsograph.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -21,8 +22,9 @@ from hsograph.cli import (
     main,
     run_verify_campaign,
 )
-from hsograph.graph import parse_graph6
-from hsograph.search import extremal_table, find_monotonicity_counterexamples
+from hsograph.families import build, star
+from hsograph.graph import canonical_form, parse_graph6
+from hsograph.search import conjecture_sweep, extremal_table, find_monotonicity_counterexamples
 
 
 def run_cli(*argv):
@@ -107,6 +109,28 @@ class TestVerify:
             run_cli("verify", "f-monotone", "--n", "5..40", "--grid", "10")
         assert exc.value.code == EXIT_USAGE
 
+    def test_star_max_equality_is_the_star(self, tmp_path, capsys):
+        out = tmp_path / "star-max.csv"
+        assert run_cli("verify", "star-max", "--n", "2..8", "--format", "csv",
+                       "--out", str(out)) == EXIT_OK
+        assert ", 0 violations," in capsys.readouterr().err
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert len(rows) == 12112
+        equal = {}
+        greatest = {}
+        for row in rows:
+            g = parse_graph6(row["graph6"])
+            if row["eq_upper"] == "1":
+                assert g.n not in equal
+                equal[g.n] = g
+            if g.n not in greatest or float(row["value"]) > greatest[g.n][1]:
+                greatest[g.n] = (row["graph6"], float(row["value"]))
+        assert sorted(equal) == list(range(2, 9))
+        for n, g in equal.items():
+            assert canonical_form(g) == canonical_form(build(star(n)))
+        for summary in conjecture_sweep(2, 8):
+            assert greatest[summary.n_lo] == summary.extremal_max[summary.n_lo]
+
     def test_range_below_statement_is_usage_error(self):
         assert run_cli("verify", "tree-bounds", "--n", "2..5") == EXIT_USAGE
 
@@ -160,6 +184,29 @@ class TestErrorExits:
         assert run_cli(*argv) == EXIT_USAGE
         assert "enumeration supports n <=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("search", "conjecture", "--n", "4", "--class", "tree"), "--class"),
+        (("search", "conjecture", "--n", "4", "--n-max", "6"), "--n-max"),
+        (("search", "monotonicity", "--n", "4"), "--n"),
+        (("search", "monotonicity", "--class", "tree"), "--class"),
+        (("search", "monotonicity", "--allow-large"), "--allow-large"),
+        (("search", "extremal-table", "--n", "4", "--tolerance", "1e-6"), "--tolerance"),
+        (("search", "extremal-table", "--n", "4", "--target-delta", "-1"), "--target-delta"),
+        (("verify", "f-monotone", "--n", "5..9", "--class", "tree"), "--class"),
+        (("verify", "f-monotone", "--n", "5..9", "--tolerance", "1e-6"), "--tolerance"),
+        (("verify", "f-monotone", "--n", "5..9", "--allow-large"), "--allow-large"),
+    ])
+    def test_unread_option_is_usage_error(self, argv, option, monkeypatch, capsys):
+        # refused before any work: the sweeps are patched to fail if called
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the option check")
+
+        for name in ("conjecture_sweep", "extremal_table", "find_monotonicity_counterexamples",
+                     "check_pendant_split_monotone"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert run_cli(*argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {argv[0]} {argv[1]} takes no {option}\n"
+
     def test_internal_value_error_propagates(self, monkeypatch):
         def faulty(theorem, g, tolerance):
             raise ValueError("internal fault")
@@ -193,8 +240,8 @@ class TestSearch:
 
     def test_conjecture_counterexample_exits_3(self, monkeypatch, capsys):
         # with the star's value lowered by 1, the star and C^ beat it at n = 4
-        closed_form_hso = search.closed_form_hso
-        monkeypatch.setattr(search, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
+        closed_form_hso = verify.closed_form_hso
+        monkeypatch.setattr(verify, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
         assert run_cli("search", "conjecture", "--n", "4", "--format", "json") == EXIT_COUNTEREXAMPLE
         violations = json.loads(capsys.readouterr().out)["summary"]["violations"]
         assert [v["graph6"] for v in violations] == ["CF", "C^"]

@@ -16,7 +16,6 @@ from hsograph.families import (
     build,
     c33,
     cdprime,
-    closed_form_bound,
     closed_form_hso,
     complete,
     cprime,
@@ -31,6 +30,7 @@ from hsograph.families import (
 )
 from hsograph.graph import BICYCLIC, TREE, UNICYCLIC, canonical_form, from_edge_list
 from hsograph.indices import hso
+from hsograph.verify import closed_form_bound
 
 REL = 1e-9
 
@@ -175,9 +175,10 @@ class TestClosedFormBounds:
             assert abs(hi - closed_form_hso(sdprime(n))) < 1e-12 * max(1.0, hi)
 
     def test_tree_upper_matches_star(self):
-        for n in range(2, 20):
-            _, hi = closed_form_bound("tree-bounds", n)
-            assert abs(hi - closed_form_hso(star(n))) < 1e-12 * max(1.0, hi)
+        for theorem in ("tree-bounds", "star-max"):
+            for n in range(2, 20):
+                _, hi = closed_form_bound(theorem, n)
+                assert abs(hi - closed_form_hso(star(n))) < 1e-12 * max(1.0, hi)
 
     def test_tree_bounds_n2_is_k2(self):
         # P2 = S2 = K2, whose HSO is sqrt(2); the path formula for n >= 3
@@ -187,7 +188,7 @@ class TestClosedFormBounds:
     def test_lower_never_above_upper(self):
         for theorem, least in (("tree-bounds", 2), ("general-lower", 3),
                                ("unicyclic-bounds", 3), ("bicyclic-lower", 4),
-                               ("bicyclic-upper", 4)):
+                               ("bicyclic-upper", 4), ("star-max", 2)):
             for n in range(least, 31):
                 lo, hi = closed_form_bound(theorem, n)
                 assert lo is None or hi is None or lo <= hi, (theorem, n)

@@ -16,8 +16,8 @@ import pytest
 from hsograph.cli import EXIT_OK, main
 
 GOLDEN = {
-    # verify <check> --format csv: connected checks at n = 3..6, class
-    # checks up to n = 8
+    # verify <check> --format csv: connected checks at n = 3..6 (star-max
+    # from its least order 2), class checks up to n = 8
     ("verify", "sandwich", "--n", "3..6"):
         "744441f98955428110245e1ae371a2a739c368f8ad8c75b82d816c1242084513",
     ("verify", "general-lower", "--n", "3..6"):
@@ -26,6 +26,8 @@ GOLDEN = {
         "9894b68ce379af8d280fd90267fd8f425130bfdd5aef885303853fc1366f634d",
     ("verify", "lemma-edge-bounds", "--n", "3..6"):
         "df2dc91fe8ef439d45aa7cba49c21a31db3787839c963bf7ae8690032cb412ec",
+    ("verify", "star-max", "--n", "2..6"):
+        "c8394256e10e42bc28f6f3f0c129cc750268e29f397e6b64ba2a184ac014a0e5",
     ("verify", "tree-bounds", "--n", "3..8"):
         "18ac1641e78c3c4013147c4f811b30b54f7fe227b25ae0e78550ca4c71e0d9ea",
     ("verify", "unicyclic-bounds", "--n", "3..8"):
@@ -103,6 +105,7 @@ def test_golden_bytes(argv, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "sandwich", "--n", "3..6"),
+    ("verify", "star-max", "--n", "2..6"),
     ("search", "extremal-table", "--class", "connected", "--n", "3..6"),
 ], ids=" ".join)
 def test_golden_bytes_with_workers(argv, tmp_path):

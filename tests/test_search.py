@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from hsograph import verify
 from hsograph.families import build, closed_form_hso, cycle, is_member, path, sdprime, sprime, star
 from hsograph.graph import OrderTooLargeError, canonical_form, parse_graph6
 from hsograph.search import (
@@ -90,6 +91,17 @@ class TestConjectureSweep:
         assert summary.details["maximizer_is_star"]
         assert summary.graphs_examined == 21
         assert not summary.violations
+
+    def test_unrecognized_maximizer_is_a_violation(self, monkeypatch):
+        # a graph meeting the star's value without being recognized as the
+        # star breaks the characterization, though none exceeds the bound
+        recognize = verify.is_member
+        monkeypatch.setattr(verify, "is_member", lambda g, kind: kind != "star" and recognize(g, kind))
+        summary = check_conjecture_star_max(4)
+        assert [v["graph6"] for v in summary.violations] == ["CF"]
+        violation = summary.violations[0]
+        assert abs(violation["value"] - violation["star_value"]) < 1e-12
+        assert not summary.details["maximizer_is_star"]
 
     def test_order_caps(self):
         with pytest.raises(OrderTooLargeError):

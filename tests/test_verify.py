@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hsograph import families, verify
+from hsograph import verify
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
 from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
@@ -29,6 +29,7 @@ from hsograph.verify import (
     check_lemma_edge_bounds,
     check_pendant_split_monotone,
     check_sandwich,
+    check_star_max,
     check_theorem,
     check_tree_bounds,
     check_unicyclic_bounds,
@@ -452,6 +453,7 @@ PUBLIC_CHECKERS = {
     "sandwich": check_sandwich,
     "tree-bounds": check_tree_bounds,
     "general-lower": check_general_lower,
+    "star-max": check_star_max,
     "unicyclic-bounds": check_unicyclic_bounds,
     "bicyclic-lower": check_bicyclic_lower,
     "bicyclic-upper": check_bicyclic_upper,
@@ -490,8 +492,6 @@ def test_registry_contract(theorem):
                 check(g, 1e-9)
         assert check(member, 1e-9) == check_theorem(theorem, member)
     assert check_theorem(theorem, member).theorem == theorem
-    if theorem in families._CLASS_BOUNDS:
-        assert families._CLASS_BOUNDS[theorem][0] == record.graph_class
 
 
 class TestPastCanonicalReach:
