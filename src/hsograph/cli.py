@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -46,22 +47,28 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 
-PENDANT_SPLIT_CHECK = "f-monotone"
-VERIFY_CHECKS = tuple(THEOREMS) + (PENDANT_SPLIT_CHECK,)
 GRAPH_CLASSES = ("tree", "unicyclic", "bicyclic", "connected")
 
 _TOOL = f"hsograph {__version__}"
-_JOBS_HELP = ("worker processes for the per-graph work, one pool per campaign; "
-             "enumeration stays serial (default: HSO_JOBS or 1)")
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """Parse 'A..B' or a single integer 'A' into an inclusive range."""
+class _Parser(argparse.ArgumentParser):
+    """Options are spelled in full, and a parse error raises UsageError, so
+    main() reports it like every other usage error."""
 
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _order_range(text: str) -> tuple[int, int]:
+    """Parse 'A..B' or a single integer 'A' into an inclusive range."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -69,47 +76,41 @@ def _parse_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise UsageError(f"bad order range {text!r}; expected A or A..B") from None
+        raise argparse.ArgumentTypeError(f"bad order range {text!r}; expected A or A..B") from None
     if lo < 1:
-        raise UsageError(f"orders start at 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"orders start at 1, got {text!r}")
     if lo > hi:
-        raise UsageError(f"empty order range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty order range {text!r}")
     return lo, hi
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("HSO_JOBS", "")
-    if env.strip():
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError(f"HSO_JOBS must be an integer, got {env!r}") from None
-        if jobs < 1:
-            raise UsageError("HSO_JOBS must be at least 1")
-        return jobs
-    return 1
+def _jobs(text: str) -> int:
+    jobs = int(text) if text.strip().isdecimal() else 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs and HSO_JOBS must be at least 1, got {text!r}")
+    return jobs
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    tolerance = _finite(text)
+    if not 0.0 < tolerance <= 1e-3:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1e-3], got {text!r}")
+    return tolerance
 
 
 def _check_large(graph_class: str, n_hi: int, allow_large: bool):
     if graph_class == "connected" and n_hi > 8 and not allow_large:
         raise UsageError("connected sweeps above n = 8 need --allow-large")
-
-
-def _check_tolerance(tolerance: float | None) -> float:
-    if tolerance is None:
-        return DEFAULT_TOLERANCE
-    if not 0.0 < tolerance <= 1e-3:
-        raise UsageError("tolerance must lie in (0, 1e-3]")
-    return tolerance
-
-
-def _refuse(args, command: str, *dests: str):
-    """Raise UsageError naming the first of these options given: command never reads it."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is not None and value is not False:
-            flag = "--class" if dest == "graph_class" else "--" + dest.replace("_", "-")
-            raise UsageError(f"{command} takes no {flag}")
 
 
 def _header_lines(meta: dict) -> str:
@@ -225,19 +226,6 @@ def run_verify_campaign(
     graphs_in_class are looked up in this module when the campaign runs.
     """
     start = time.perf_counter()
-    if theorem == PENDANT_SPLIT_CHECK:
-        summary = CampaignSummary(f"verify:{theorem}", "-", n_lo, n_hi)
-        if n_lo < 5:
-            raise UsageError(f"{theorem} needs n >= 5")
-        summary.graphs_examined = n_hi - n_lo + 1
-        for n in range(n_lo, n_hi + 1):
-            if not check_pendant_split_monotone(n):
-                summary.violations.append({"n": n, "reason": "split weight increased"})
-        summary.wall_time = time.perf_counter() - start
-        return summary, []
-
-    if theorem not in THEOREMS:
-        raise UsageError(f"unknown check {theorem!r}; expected one of {', '.join(VERIFY_CHECKS)}")
     record = THEOREMS[theorem]
     if graph_class and record.graph_class not in ("connected", graph_class):
         raise UsageError(f"{theorem} is stated over {record.graph_class} graphs, "
@@ -330,20 +318,17 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.check == PENDANT_SPLIT_CHECK:
-        _refuse(args, f"verify {args.check}", "graph_class", "tolerance", "allow_large")
-    n_lo, n_hi = _parse_range(args.n)
-    tolerance = _check_tolerance(args.tolerance)
+    n_lo, n_hi = args.n
     summary, reports = run_verify_campaign(
         args.check,
         n_lo,
         n_hi,
         graph_class=args.graph_class,
-        tolerance=tolerance,
+        tolerance=args.tolerance,
         jobs=args.jobs,
         allow_large=args.allow_large,
     )
-    meta = {"check": args.check, "tolerance": tolerance, "n": f"{n_lo}..{n_hi}"}
+    meta = {"check": args.check, "tolerance": args.tolerance, "n": f"{n_lo}..{n_hi}"}
     if args.out or args.format != "text":
         _write_text(args.out, _render_reports(reports, args.format, meta))
     print(
@@ -354,57 +339,68 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 
-def cmd_search(args) -> int:
-    command = f"search {args.kind}"
-    if args.kind == "monotonicity":
-        _refuse(args, command, "n", "graph_class", "allow_large")
-        tolerance = _check_tolerance(args.tolerance)
-        n_max = 5 if args.n_max is None else args.n_max
-        witnesses = find_monotonicity_counterexamples(n_max, tolerance, args.jobs)
-        if args.target_delta is not None:
-            witnesses = witnesses_with_delta(witnesses, args.target_delta, tolerance)
-        meta = {"check": "monotonicity", "tolerance": tolerance, "n_max": n_max}
-        _write_text(args.out, _render_witnesses(witnesses, args.format, meta))
-        print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
-        return EXIT_OK
-    # conjecture and extremal-table sweep an order range
-    _refuse(args, command, "n_max", "target_delta")
-    if args.n is None:
-        raise UsageError(f"{command} needs --n")
-    n_lo, n_hi = _parse_range(args.n)
-    if args.kind == "conjecture":
-        _refuse(args, command, "graph_class")
-        tolerance = _check_tolerance(args.tolerance)
-        _check_large("connected", n_hi, args.allow_large)
-        exit_code = EXIT_OK
-        outputs = []
-        for summary in conjecture_sweep(n_lo, n_hi, tolerance, args.jobs):
-            n = summary.n_lo
-            meta = {"check": "conjecture-star-max", "tolerance": tolerance, "n": n}
-            outputs.append(_render_summary(summary, args.format, meta))
-            if summary.violations:
-                exit_code = EXIT_COUNTEREXAMPLE
-            print(
-                f"conjecture n={n}: maximizer {summary.extremal_max[n][0]} "
-                f"value={summary.extremal_max[n][1]!r} "
-                f"is_star={summary.details['maximizer_is_star']} "
-                f"violations={len(summary.violations)}",
-                file=sys.stderr,
-            )
-        _write_text(args.out, "\n".join(outputs))
-        return exit_code
-    # extremal-table, the last of the kinds that argparse admits
-    _refuse(args, command, "tolerance")
-    graph_class = args.graph_class or "connected"
-    _check_large(graph_class, n_hi, args.allow_large)
-    summary = extremal_table(graph_class, n_lo, n_hi, jobs=args.jobs)
-    meta = {"check": "extremal-table", "class": graph_class, "n": f"{n_lo}..{n_hi}"}
+def cmd_f_monotone(args) -> int:
+    """Decide pendant-split monotonicity at each order: no graphs, so no report rows."""
+    start = time.perf_counter()
+    n_lo, n_hi = args.n
+    if n_lo < 5:
+        raise UsageError("f-monotone needs n >= 5")
+    failed = [n for n in range(n_lo, n_hi + 1) if not check_pendant_split_monotone(n)]
+    # the header keeps the default tolerance that the theorem checks print
+    meta = {"check": "f-monotone", "tolerance": DEFAULT_TOLERANCE, "n": f"{n_lo}..{n_hi}"}
+    if args.out or args.format != "text":
+        _write_text(args.out, _render_reports([], args.format, meta))
+    print(
+        f"verify:f-monotone: examined {n_hi - n_lo + 1} orders, "
+        f"{len(failed)} violations, {time.perf_counter() - start:.2f}s",
+        file=sys.stderr,
+    )
+    return EXIT_OK if not failed else EXIT_VIOLATION
+
+
+def cmd_monotonicity(args) -> int:
+    witnesses = find_monotonicity_counterexamples(args.n_max, args.tolerance, args.jobs)
+    if args.target_delta is not None:
+        witnesses = witnesses_with_delta(witnesses, args.target_delta, args.tolerance)
+    meta = {"check": "monotonicity", "tolerance": args.tolerance, "n_max": args.n_max}
+    _write_text(args.out, _render_witnesses(witnesses, args.format, meta))
+    print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
+    return EXIT_OK
+
+
+def cmd_conjecture(args) -> int:
+    n_lo, n_hi = args.n
+    _check_large("connected", n_hi, args.allow_large)
+    exit_code = EXIT_OK
+    outputs = []
+    for summary in conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs):
+        n = summary.n_lo
+        meta = {"check": "conjecture-star-max", "tolerance": args.tolerance, "n": n}
+        outputs.append(_render_summary(summary, args.format, meta))
+        if summary.violations:
+            exit_code = EXIT_COUNTEREXAMPLE
+        print(
+            f"conjecture n={n}: maximizer {summary.extremal_max[n][0]} "
+            f"value={summary.extremal_max[n][1]!r} "
+            f"is_star={summary.details['maximizer_is_star']} "
+            f"violations={len(summary.violations)}",
+            file=sys.stderr,
+        )
+    _write_text(args.out, "\n".join(outputs))
+    return exit_code
+
+
+def cmd_extremal_table(args) -> int:
+    n_lo, n_hi = args.n
+    _check_large(args.graph_class, n_hi, args.allow_large)
+    summary = extremal_table(args.graph_class, n_lo, n_hi, jobs=args.jobs)
+    meta = {"check": "extremal-table", "class": args.graph_class, "n": f"{n_lo}..{n_hi}"}
     _write_text(args.out, _render_summary(summary, args.format, meta))
     return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 
 def cmd_enumerate(args) -> int:
-    n_lo, n_hi = _parse_range(args.n)
+    n_lo, n_hi = args.n
     # --edges streams connected graphs whatever --class says
     graph_class = "connected" if args.edges is not None else args.graph_class
     _check_large(graph_class, n_hi, args.allow_large)
@@ -426,74 +422,73 @@ def cmd_enumerate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command, and per check or search kind, each taking
+    exactly the options its function reads."""
+    parser = _Parser(
         prog="hsograph",
         description="Hyperbolic Sombor index: compute, enumerate, verify bounds, search",
     )
     parser.add_argument("--version", action="version", version=_TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse passes a string default through type=, so a bad HSO_JOBS is a usage error
+    options = {
+        "--n": dict(type=_order_range, required=True, help="order range A..B (or single order)"),
+        "--tolerance": dict(type=_tolerance, default=DEFAULT_TOLERANCE,
+                            help="relative, in (0, 1e-3] (default: 1e-9)"),
+        "--jobs": dict(type=_jobs, default=os.environ.get("HSO_JOBS", "").strip() or "1",
+                       help="worker processes for the per-graph work, one pool per campaign; "
+                            "enumeration stays serial (default: HSO_JOBS or 1)"),
+        "--format": dict(choices=("text", "csv", "json"), default="text"),
+        "--out": dict(help="write output to this path"),
+        "--allow-large": dict(action="store_true", help="enable connected sweeps above n = 8"),
+    }
 
-    p_compute = sub.add_parser("compute", help="HSO/SO of a graph6 string or family spec")
-    p_compute.add_argument("input", nargs="?", help="graph6 string or family spec like star:7")
-    p_compute.add_argument("--file", help="file with one graph6 string per line")
-    p_compute.add_argument("--per-edge", action="store_true", help="print per-edge terms")
-    p_compute.add_argument("--format", choices=("text", "json"), default="text")
-    p_compute.add_argument("--out", help="write output to this path")
+    def add(subparsers, name, run, help, *flags, **extra):
+        p = subparsers.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(run=run, **extra)
+        return p
 
-    p_verify = sub.add_parser("verify", help="sweep a bound check over an enumerated class")
-    p_verify.add_argument("check", choices=VERIFY_CHECKS)
-    p_verify.add_argument("--n", required=True, help="order range A..B (or single order)")
-    p_verify.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
-                          help="override the check's default graph class")
-    p_verify.add_argument("--tolerance", type=float)
-    p_verify.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_verify.add_argument("--out", help="write per-graph reports to this path")
-    p_verify.add_argument("--allow-large", action="store_true", help="enable n = 9 sweeps")
+    p = add(sub, "compute", cmd_compute, "HSO/SO of a graph6 string or family spec", "--out")
+    p.add_argument("input", nargs="?", help="graph6 string or family spec like star:7")
+    p.add_argument("--file", help="file with one graph6 string per line")
+    p.add_argument("--per-edge", action="store_true", help="print per-edge terms")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_search = sub.add_parser("search", help="counterexample and extremal campaigns")
-    p_search.add_argument("kind", choices=("monotonicity", "conjecture", "extremal-table"))
-    p_search.add_argument("--n-max", type=int, help="monotonicity: max order (default: 5)")
-    p_search.add_argument("--n", help="order or range for conjecture/extremal-table")
-    p_search.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
-                          help="extremal-table: graph class (default: connected)")
-    p_search.add_argument("--target-delta", type=float, default=None,
-                          help="monotonicity: keep witnesses with this exact HSO drop")
-    p_search.add_argument("--tolerance", type=float)
-    p_search.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p_search.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_search.add_argument("--out", help="write witnesses/tables to this path")
-    p_search.add_argument("--allow-large", action="store_true")
+    checks = sub.add_parser("verify", help="sweep a bound check over an enumerated class")
+    checks = checks.add_subparsers(dest="check", required=True)
+    for name, record in THEOREMS.items():
+        p = add(checks, name, cmd_verify, f"over {record.graph_class} graphs, n >= {record.min_n}",
+                "--n", "--tolerance", "--jobs", "--format", "--out", "--allow-large", check=name)
+        p.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
+                       help="narrow a check stated over connected graphs")
+    add(checks, "f-monotone", cmd_f_monotone, "pendant-split monotonicity, decided per order",
+        "--n", "--format", "--out")
 
-    p_enum = sub.add_parser("enumerate", help="write an enumerated class as graph6 lines")
-    p_enum.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES,
-                        default="connected")
-    p_enum.add_argument("--n", required=True, help="order range A..B (or single order)")
-    p_enum.add_argument("--edges", type=int, default=None,
-                        help="exact edge count (overrides --class)")
-    p_enum.add_argument("--out", help="write graph6 lines to this path")
-    p_enum.add_argument("--allow-large", action="store_true")
+    kinds = sub.add_parser("search", help="counterexample and extremal campaigns")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    p = add(kinds, "monotonicity", cmd_monotonicity, "edges whose insertion lowers HSO",
+            "--tolerance", "--jobs", "--format", "--out")
+    p.add_argument("--n-max", type=int, default=5, help="max order (default: 5)")
+    p.add_argument("--target-delta", type=_finite, help="keep witnesses with this exact HSO drop")
+    add(kinds, "conjecture", cmd_conjecture, "per-order view of star-max",
+        "--n", "--tolerance", "--jobs", "--format", "--out", "--allow-large")
+    p = add(kinds, "extremal-table", cmd_extremal_table, "least and greatest HSO per order",
+            "--n", "--jobs", "--format", "--out", "--allow-large")
+    p.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES, default="connected")
 
+    p = add(sub, "enumerate", cmd_enumerate, "write an enumerated class as graph6 lines",
+            "--n", "--out", "--allow-large")
+    p.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES, default="connected")
+    p.add_argument("--edges", type=int, help="exact edge count (overrides --class)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", None) is None and args.command in ("verify", "search"):
-            args.jobs = _default_jobs()
-        if getattr(args, "jobs", None) is not None and args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "search":
-            return cmd_search(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (UsageError, GraphError, InvalidParametersError, InfeasibleEdgeCountError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,8 +156,8 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     """Yield one summary per order n_lo..n_hi of the star-max theorem checked
     on every connected graph of that order, all through one worker pool.
 
-    A report that does not hold or is not consistent would be a major find:
-    it lands in summary.violations and is never silently dropped.
+    A report above the star's value ("exceeds"), or meeting it off the star
+    ("inconsistent"), would be a major find: it lands in summary.violations.
     """
     min_n = THEOREMS["star-max"].min_n
     if n_lo < min_n:
@@ -169,7 +169,8 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     for n, _, reports in sweep(check, levels, jobs):
         summary = CampaignSummary("search:conjecture", "connected", n, n,
                                   graphs_examined=len(reports))
-        summary.violations = [{"graph6": r.graph6, "value": r.value, "star_value": r.bound_upper}
+        summary.violations = [{"graph6": r.graph6, "value": r.value, "star_value": r.bound_upper,
+                               "reason": "inconsistent" if r.holds else "exceeds"}
                               for r in reports if not (r.holds and r.consistent)]
         # max keeps the first greatest report, in stream order
         best = max(reports, key=attrgetter("value"))

@@ -105,9 +105,8 @@ class TestVerify:
         assert run_cli("verify", "f-monotone", "--n", "5..10000") == EXIT_OK
 
     def test_pendant_split_takes_no_grid(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("verify", "f-monotone", "--n", "5..40", "--grid", "10")
-        assert exc.value.code == EXIT_USAGE
+        assert run_cli("verify", "f-monotone", "--n", "5..40", "--grid", "10") == EXIT_USAGE
+        assert "--grid" in capsys.readouterr().err
 
     def test_star_max_equality_is_the_star(self, tmp_path, capsys):
         out = tmp_path / "star-max.csv"
@@ -161,9 +160,9 @@ class TestVerify:
 class TestErrorExits:
     def test_order_zero_is_usage_error(self, capsys):
         assert run_cli("enumerate", "--n", "0") == EXIT_USAGE
-        assert capsys.readouterr().err == "error: orders start at 1, got '0'\n"
+        assert capsys.readouterr().err == "error: argument --n: orders start at 1, got '0'\n"
         assert run_cli("search", "extremal-table", "--class", "tree", "--n", "0..2") == EXIT_USAGE
-        assert capsys.readouterr().err == "error: orders start at 1, got '0..2'\n"
+        assert capsys.readouterr().err == "error: argument --n: orders start at 1, got '0..2'\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "bicyclic-lower", "--n", "4..13"),
@@ -195,9 +194,11 @@ class TestErrorExits:
         (("verify", "f-monotone", "--n", "5..9", "--class", "tree"), "--class"),
         (("verify", "f-monotone", "--n", "5..9", "--tolerance", "1e-6"), "--tolerance"),
         (("verify", "f-monotone", "--n", "5..9", "--allow-large"), "--allow-large"),
+        (("verify", "f-monotone", "--n", "5..9", "--jobs", "2"), "--jobs"),
     ])
     def test_unread_option_is_usage_error(self, argv, option, monkeypatch, capsys):
-        # refused before any work: the sweeps are patched to fail if called
+        # each subparser declares only the options its command reads, so the
+        # others are refused at parse time: the sweeps are patched to fail if called
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the option check")
 
@@ -205,7 +206,21 @@ class TestErrorExits:
                      "check_pendant_split_monotone"):
             monkeypatch.setattr(cli, name, no_work)
         assert run_cli(*argv) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {argv[0]} {argv[1]} takes no {option}\n"
+        assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {option}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify",), "required: check"),
+        (("verify", "sandwich"), "required: --n"),
+        (("verify", "sandwich", "--n", "3", "--jobs", "x"), "argument --jobs"),
+        (("search", "nonesuch"), "invalid choice: 'nonesuch'"),
+        (("search", "monotonicity", "--target-delta", "nan"), "argument --target-delta"),
+        (("search", "monotonicity", "--target-delta", "-inf"), "argument --target-delta"),
+    ])
+    def test_parse_error_returns_usage(self, argv, message, capsys):
+        # argparse would raise SystemExit; main() returns 2 like any usage error
+        assert run_cli(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_internal_value_error_propagates(self, monkeypatch):
         def faulty(theorem, g, tolerance):
@@ -248,6 +263,7 @@ class TestSearch:
         for v in violations:
             assert abs(v["star_value"] - (3 * math.sqrt(10) - 1.0)) < 1e-12
             assert v["value"] > v["star_value"]
+            assert v["reason"] == "exceeds"
         assert abs(violations[0]["value"] - 3 * math.sqrt(10)) < 1e-12
 
     def test_conjecture_needs_n(self):

@@ -101,6 +101,7 @@ class TestConjectureSweep:
         assert [v["graph6"] for v in summary.violations] == ["CF"]
         violation = summary.violations[0]
         assert abs(violation["value"] - violation["star_value"]) < 1e-12
+        assert violation["reason"] == "inconsistent"
         assert not summary.details["maximizer_is_star"]
 
     def test_order_caps(self):
