@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -134,75 +133,77 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _csv_text(meta: dict, header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(_header_lines(meta) + "\n")
-    writer = csv.writer(buf)
+def _write_csv(fh, meta: dict, header, rows):
+    """The header line, then one csv line (ended by \\r\\n) per row, written as they come."""
+    fh.write(_header_lines(meta) + "\n")
+    writer = csv.writer(fh)
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
-def _render_reports(reports: list[TheoremReport], fmt: str, meta: dict) -> str:
+# Each _write_* renderer writes one document to fh, ending in a newline.
+
+
+def _write_reports(fh, reports: list[TheoremReport], fmt: str, meta: dict):
     if fmt == "json":
         doc = {"tool": _TOOL, **meta, "reports": [r.to_dict() for r in reports]}
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if fmt == "csv":
-        return _csv_text(meta, CSV_COLUMNS, (r.csv_row() for r in reports))
-    lines = [_header_lines(meta)]
-    for r in reports:
-        lines.append(
-            f"{r.theorem} {r.graph6} value={r.value!r} lower={r.bound_lower!r} "
-            f"upper={r.bound_upper!r} eq_lower={r.equality_lower} "
-            f"eq_upper={r.equality_upper} class={r.structural_class} "
-            f"consistent={r.consistent} holds={r.holds}"
-        )
-    return "\n".join(lines)
+        print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
+    elif fmt == "csv":
+        _write_csv(fh, meta, CSV_COLUMNS, (r.csv_row() for r in reports))
+    else:
+        print(_header_lines(meta), file=fh)
+        for r in reports:
+            print(
+                f"{r.theorem} {r.graph6} value={r.value!r} lower={r.bound_lower!r} "
+                f"upper={r.bound_upper!r} eq_lower={r.equality_lower} "
+                f"eq_upper={r.equality_upper} class={r.structural_class} "
+                f"consistent={r.consistent} holds={r.holds}",
+                file=fh,
+            )
 
 
-def _render_witnesses(witnesses, fmt: str, meta: dict) -> str:
+def _write_witnesses(fh, witnesses, fmt: str, meta: dict):
     if fmt == "json":
         doc = {"tool": _TOOL, **meta, "witnesses": [w.to_dict() for w in witnesses]}
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if fmt == "csv":
+        print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
+    elif fmt == "csv":
         header = ["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta"]
-        return _csv_text(meta, header, (
+        _write_csv(fh, meta, header, (
             [w.graph6_before, w.graph6_after, w.added_edge[0], w.added_edge[1],
              repr(w.hso_before), repr(w.hso_after), repr(w.delta)]
             for w in witnesses
         ))
-    # two-column interchange format: before after
-    lines = [_header_lines(meta)]
-    lines.extend(w.pair_line() for w in witnesses)
-    return "\n".join(lines)
+    else:
+        # two-column interchange format: before after
+        print(_header_lines(meta), file=fh)
+        for w in witnesses:
+            print(w.pair_line(), file=fh)
 
 
-def _render_summary(summary: CampaignSummary, fmt: str, meta: dict) -> str:
+def _write_summary(fh, summary: CampaignSummary, fmt: str, meta: dict):
     if fmt == "json":
         doc = {"tool": _TOOL, **meta, "summary": summary.to_dict()}
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if fmt == "csv":
+        print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
+    elif fmt == "csv":
         rows = []
         for n in sorted(set(summary.extremal_min) | set(summary.extremal_max)):
             lo = summary.extremal_min.get(n, ("", ""))
             hi = summary.extremal_max.get(n, ("", ""))
             rows.append([n, lo[0], repr(lo[1]) if lo[1] != "" else "",
                          hi[0], repr(hi[1]) if hi[1] != "" else ""])
-        return _csv_text(meta, ["n", "min_graph6", "min_value", "max_graph6", "max_value"], rows)
-    lines = [_header_lines(meta)]
-    lines.append(
-        f"{summary.label} class={summary.graph_class} n={summary.n_lo}..{summary.n_hi} "
-        f"examined={summary.graphs_examined} violations={len(summary.violations)}"
-    )
-    for n in sorted(summary.extremal_min):
-        g6, value = summary.extremal_min[n]
-        lines.append(f"  n={n} min {g6} {value!r}")
-    for n in sorted(summary.extremal_max):
-        g6, value = summary.extremal_max[n]
-        lines.append(f"  n={n} max {g6} {value!r}")
-    for v in summary.violations:
-        lines.append(f"  VIOLATION {v}")
-    return "\n".join(lines)
+        _write_csv(fh, meta, ["n", "min_graph6", "min_value", "max_graph6", "max_value"], rows)
+    else:
+        print(_header_lines(meta), file=fh)
+        print(f"{summary.label} class={summary.graph_class} n={summary.n_lo}..{summary.n_hi} "
+              f"examined={summary.graphs_examined} violations={len(summary.violations)}", file=fh)
+        for n in sorted(summary.extremal_min):
+            g6, value = summary.extremal_min[n]
+            print(f"  n={n} min {g6} {value!r}", file=fh)
+        for n in sorted(summary.extremal_max):
+            g6, value = summary.extremal_max[n]
+            print(f"  n={n} max {g6} {value!r}", file=fh)
+        for v in summary.violations:
+            print(f"  VIOLATION {v}", file=fh)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,8 @@ def cmd_verify(args) -> int:
     )
     meta = {"check": args.check, "tolerance": args.tolerance, "n": f"{n_lo}..{n_hi}"}
     if args.out or args.format != "text":
-        _write_text(args.out, _render_reports(reports, args.format, meta))
+        with _output(args.out) as fh:
+            _write_reports(fh, reports, args.format, meta)
     print(
         f"{summary.label}: examined {summary.graphs_examined} graphs, "
         f"{len(summary.violations)} violations, {summary.wall_time:.2f}s",
@@ -349,7 +351,8 @@ def cmd_f_monotone(args) -> int:
     # the header keeps the default tolerance that the theorem checks print
     meta = {"check": "f-monotone", "tolerance": DEFAULT_TOLERANCE, "n": f"{n_lo}..{n_hi}"}
     if args.out or args.format != "text":
-        _write_text(args.out, _render_reports([], args.format, meta))
+        with _output(args.out) as fh:
+            _write_reports(fh, [], args.format, meta)
     print(
         f"verify:f-monotone: examined {n_hi - n_lo + 1} orders, "
         f"{len(failed)} violations, {time.perf_counter() - start:.2f}s",
@@ -363,7 +366,8 @@ def cmd_monotonicity(args) -> int:
     if args.target_delta is not None:
         witnesses = witnesses_with_delta(witnesses, args.target_delta, args.tolerance)
     meta = {"check": "monotonicity", "tolerance": args.tolerance, "n_max": args.n_max}
-    _write_text(args.out, _render_witnesses(witnesses, args.format, meta))
+    with _output(args.out) as fh:
+        _write_witnesses(fh, witnesses, args.format, meta)
     print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
     return EXIT_OK
 
@@ -372,11 +376,10 @@ def cmd_conjecture(args) -> int:
     n_lo, n_hi = args.n
     _check_large("connected", n_hi, args.allow_large)
     exit_code = EXIT_OK
-    outputs = []
+    summaries = []
     for summary in conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs):
         n = summary.n_lo
-        meta = {"check": "conjecture-star-max", "tolerance": args.tolerance, "n": n}
-        outputs.append(_render_summary(summary, args.format, meta))
+        summaries.append(summary)
         if summary.violations:
             exit_code = EXIT_COUNTEREXAMPLE
         print(
@@ -386,7 +389,12 @@ def cmd_conjecture(args) -> int:
             f"violations={len(summary.violations)}",
             file=sys.stderr,
         )
-    _write_text(args.out, "\n".join(outputs))
+    with _output(args.out) as fh:
+        for i, summary in enumerate(summaries):
+            if i and args.format == "csv":
+                fh.write("\n")  # a blank line between two orders' tables
+            meta = {"check": "conjecture-star-max", "tolerance": args.tolerance, "n": summary.n_lo}
+            _write_summary(fh, summary, args.format, meta)
     return exit_code
 
 
@@ -395,7 +403,8 @@ def cmd_extremal_table(args) -> int:
     _check_large(args.graph_class, n_hi, args.allow_large)
     summary = extremal_table(args.graph_class, n_lo, n_hi, jobs=args.jobs)
     meta = {"check": "extremal-table", "class": args.graph_class, "n": f"{n_lo}..{n_hi}"}
-    _write_text(args.out, _render_summary(summary, args.format, meta))
+    with _output(args.out) as fh:
+        _write_summary(fh, summary, args.format, meta)
     return EXIT_OK if not summary.violations else EXIT_VIOLATION
 
 

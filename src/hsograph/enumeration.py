@@ -68,8 +68,11 @@ def _orbit(mask, generators):
         current = frontier.pop()
         for image in generators:
             moved = 0
-            for v in _bits(current):
-                moved |= 1 << image[v]
+            rest = current
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                moved |= 1 << image[low.bit_length() - 1]
             if moved not in orbit:
                 orbit.add(moved)
                 frontier.append(moved)
@@ -108,7 +111,15 @@ def _canonical_deletion(parents, children):
                 bit = [0] * n
                 for p, v in enumerate(order):
                     bit[v] = 1 << p
-                placed = {mask: sum(bit[v] for v in _bits(mask)) for mask in (new, *rivals)}
+                placed = {}
+                for mask in (new, *rivals):
+                    at = 0
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        at |= bit[low.bit_length() - 1]
+                    placed[mask] = at
                 chosen = max(placed, key=placed.get)
                 if chosen != new and new not in _orbit(chosen, generators):
                     continue
@@ -146,16 +157,34 @@ def _vertex_children(parent, leaf_only):
     for mask in masks:
         rows = list(parent.rows)
         rows.append(mask)
-        for v in _bits(mask):
+        degrees = list(parent.degrees)
+        k = mask.bit_count()
+        degrees.append(k)
+        best = 0  # the new vertex's sum of neighbour degrees
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             rows[v] |= top
-        degrees = [r.bit_count() for r in rows]
-        k = degrees[x]
-        score = {v: sum(degrees[w] for w in _bits(rows[v]))
-                 for v in range(x + 1) if degrees[v] == k}
-        best = score.pop(x)
-        if any(s > best for s in score.values()):
-            continue
-        yield mask, tuple(rows), top, [1 << v for v, s in score.items() if s == best]
+            degrees[v] += 1
+            best += degrees[v]
+        rivals = []
+        for v in range(x):
+            if degrees[v] != k:
+                continue
+            score = 0
+            rest = rows[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                score += degrees[low.bit_length() - 1]
+            if score > best:
+                break
+            if score == best:
+                rivals.append(1 << v)
+        else:
+            yield mask, tuple(rows), top, rivals
 
 
 def _edge_children(parent):

@@ -8,6 +8,10 @@ n <= 16 for canonical forms).
 
 Graphs are values: every mutating operation returns a fresh Graph and the
 input is never touched, so instances can be shared freely across workers.
+A Graph fills a memo of its graph6 string, its connectivity and its HSO
+(stored by indices.hso) on first use, so every checker of one graph shares
+one computation of each.  The memo is never pickled: a graph sent to a
+worker arrives with an empty one.
 """
 
 from __future__ import annotations
@@ -80,7 +84,9 @@ def _bits(mask):
 class Graph:
     """Immutable simple graph; build instances via from_edge_list or parse_graph6."""
 
-    __slots__ = ("n", "rows", "degrees")
+    # _graph6, _connected and _hso memoize to_graph6(), is_connected() and
+    # indices.hso()'s (hso, so) pair; None until first asked for
+    __slots__ = ("n", "rows", "degrees", "_graph6", "_connected", "_hso")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         # Trusted constructor: rows must already be a symmetric, loop-free
@@ -88,6 +94,9 @@ class Graph:
         self.n = n
         self.rows = rows
         self.degrees = tuple(r.bit_count() for r in rows)
+        self._graph6 = None
+        self._connected = None
+        self._hso = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -154,17 +163,11 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
     def is_connected(self) -> bool:
-        """Breadth-first sweep from vertex 0 over whole frontiers at once."""
-        rows = self.rows
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        """Whether every vertex is reached from vertex 0; swept on first call."""
+        connected = self._connected
+        if connected is None:
+            connected = self._connected = _sweep_connected(self.rows)
+        return connected
 
     def classify(self) -> str:
         """Class tag by cyclomatic number m - n + 1 (tree/unicyclic/bicyclic/...)."""
@@ -180,24 +183,46 @@ class Graph:
         return OTHER_CONNECTED
 
     def to_graph6(self) -> str:
-        """Encode in graph6: header byte 63+n, upper triangle packed column-major."""
-        if self.n > GRAPH6_MAX_N:
-            raise OrderTooLargeError(f"graph6 short form requires n <= {GRAPH6_MAX_N}")
-        out = [chr(63 + self.n)]
-        acc = 0
-        nbits = 0
-        for j in range(1, self.n):
-            rj = self.rows[j]
-            for i in range(j):
-                acc = (acc << 1) | (rj >> i & 1)
-                nbits += 1
-                if nbits == 6:
-                    out.append(chr(63 + acc))
-                    acc = 0
-                    nbits = 0
-        if nbits:
-            out.append(chr(63 + (acc << (6 - nbits))))
-        return "".join(out)
+        """The graph6 string of this graph; encoded on first call."""
+        text = self._graph6
+        if text is None:
+            text = self._graph6 = _encode_graph6(self.rows)
+        return text
+
+
+def _sweep_connected(rows) -> bool:
+    """Breadth-first sweep from vertex 0 over whole frontiers at once."""
+    seen = 1
+    frontier = 1
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << len(rows)) - 1
+
+
+def _encode_graph6(rows) -> str:
+    """Encode in graph6: header byte 63+n, upper triangle packed column-major."""
+    n = len(rows)
+    if n > GRAPH6_MAX_N:
+        raise OrderTooLargeError(f"graph6 short form requires n <= {GRAPH6_MAX_N}")
+    out = [chr(63 + n)]
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        rj = rows[j]
+        for i in range(j):
+            acc = (acc << 1) | (rj >> i & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -400,14 +425,17 @@ def _canonical_code_order(rows, n):
 
 def _relabel_rows(rows, order):
     n = len(order)
-    pos = [0] * n
+    bit = [0] * n  # bit[v]: v's new position, as a bitmask
     for p, v in enumerate(order):
-        pos[v] = p
+        bit[v] = 1 << p
     new_rows = [0] * n
     for p, v in enumerate(order):
         acc = 0
-        for u in _bits(rows[v]):
-            acc |= 1 << pos[u]
+        rest = rows[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc |= bit[low.bit_length() - 1]
         new_rows[p] = acc
     return tuple(new_rows)
 

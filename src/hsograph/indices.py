@@ -66,7 +66,16 @@ def edge_term(du: int, dv: int) -> float:
 
 
 def hso(g: Graph) -> IndexValue:
-    """HSO and SO of g in one pass over the adjacency bitmasks.
+    """HSO and SO of g, computed on the first call for g and memoized on it
+    as the float pair (an IndexValue would hold g and make a cycle)."""
+    pair = g._hso
+    if pair is None:
+        pair = g._hso = _hso_so(g)
+    return IndexValue(*pair, g)
+
+
+def _hso_so(g: Graph) -> tuple[float, float]:
+    """(HSO, SO) of g in one pass over the adjacency bitmasks.
 
     Each edge contributes root = sqrt(du^2 + dv^2) to SO and root / min(du, dv)
     to HSO, the same float operations as edge_term; math.fsum rounds each sum
@@ -88,7 +97,7 @@ def hso(g: Graph) -> IndexValue:
             root = sqrt(du * du + dv * dv)
             add_root(root)
             add_term(root / (du if du < dv else dv))
-    return IndexValue(math.fsum(terms), math.fsum(roots), g)
+    return math.fsum(terms), math.fsum(roots)
 
 
 def so(g: Graph) -> float:

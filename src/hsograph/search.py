@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -91,7 +90,11 @@ def sweep(fn, levels, jobs: int = 1):
     the workers in contiguous chunks and comes back in stream order, so fn
     must pickle: a module-level function or a functools.partial of one.
     """
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        import multiprocessing  # only pooled runs pay for the import
+
+        pool = multiprocessing.Pool(jobs)
     with pool or contextlib.nullcontext():
         for n, stream in levels:
             graphs = list(stream)

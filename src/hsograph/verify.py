@@ -20,7 +20,7 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
@@ -71,7 +71,7 @@ class UnknownCheckError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremReport:
     """Outcome of checking one theorem on one graph."""
 
@@ -144,8 +144,10 @@ def _heavy_independent(g: Graph) -> bool:
     dmin = g.min_degree
     if g.max_degree == dmin:
         return False
-    degs = g.degrees
-    return all(degs[u] == dmin or degs[v] == dmin for u, v in g.edges())
+    heavy = [v for v, d in enumerate(g.degrees) if d > dmin]
+    heavy_mask = sum(1 << v for v in heavy)
+    rows = g.rows
+    return not any(rows[v] & heavy_mask for v in heavy)
 
 
 def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
@@ -345,10 +347,12 @@ THEOREMS = {
 }
 
 
+@lru_cache(maxsize=None)
 def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]:
     """Bound values (lower, upper) at order n of a THEOREMS row with a bounded
     side, None on an unbounded side.  They start at the least order of the
-    bounded closed forms, which can lie below the theorem's own (K2 for trees)."""
+    bounded closed forms, which can lie below the theorem's own (K2 for trees).
+    Memoized per (theorem, n); a refused input raises again on every call."""
     record = THEOREMS.get(theorem)
     if record is None or not any(record.bounds):
         raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")

@@ -253,10 +253,27 @@ class TestSearch:
         err = capsys.readouterr().err
         assert "is_star=True" in err
 
-    def test_conjecture_counterexample_exits_3(self, monkeypatch, capsys):
-        # with the star's value lowered by 1, the star and C^ beat it at n = 4
+    def test_conjecture_orders_concatenate(self, tmp_path):
+        # a range writes each order's document in turn, csv tables apart by
+        # a blank line, the same to --out as to stdout
+        def output(fmt, orders):
+            out = tmp_path / f"{orders}.{fmt}"
+            assert run_cli("search", "conjecture", "--n", orders, "--format", fmt,
+                           "--out", str(out)) == EXIT_OK
+            return out.read_bytes()
+
+        for fmt, gap in (("csv", b"\n"), ("text", b""), ("json", b"")):
+            assert output(fmt, "4..5") == output(fmt, "4") + gap + output(fmt, "5")
+        assert output("csv", "4").endswith(b"\r\n") and output("text", "4").endswith(b"\n")
+
+    def test_conjecture_counterexample_exits_3(self, monkeypatch, capsys, request):
+        # with the star's value lowered by 1, the star and C^ beat it at n = 4;
+        # closed_form_bound memoizes its values, so its cache is emptied
+        # before the patched values are read and again after the test
         closed_form_hso = verify.closed_form_hso
         monkeypatch.setattr(verify, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
+        verify.closed_form_bound.cache_clear()
+        request.addfinalizer(verify.closed_form_bound.cache_clear)
         assert run_cli("search", "conjecture", "--n", "4", "--format", "json") == EXIT_COUNTEREXAMPLE
         violations = json.loads(capsys.readouterr().out)["summary"]["violations"]
         assert [v["graph6"] for v in violations] == ["CF", "C^"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from hsograph.graph import (
     TruncatedBodyError,
     VertexOutOfRangeError,
     _canonical_code_order,
+    _encode_graph6,
     _refine,
+    _sweep_connected,
     canonical_form,
     canonical_relabel,
     from_edge_list,
@@ -34,6 +37,7 @@ from hsograph.graph import (
 )
 from hsograph.enumeration import _all_level
 from hsograph.families import build, cycle, sdprime, star
+from hsograph.indices import _hso_so, hso
 
 import oracles
 
@@ -189,6 +193,66 @@ class TestMutation:
     def test_add_loop(self):
         with pytest.raises(SelfLoopError):
             p(3).add_edge(1, 1)
+
+
+def _memo_graphs():
+    """Every graph with n <= 7, connected or not, and seeded random graphs
+    at n = 10..16 from sparse to dense."""
+    yield from (g for n in range(1, 8) for g in _all_level(n))
+    rng = random.Random(14)
+    for n in range(10, 17):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.1, 0.2, 0.5, 0.9):
+            yield from_edge_list(n, [e for e in pairs if rng.random() < density])
+
+
+def _memo(g):
+    return g._graph6, g._connected, g._hso
+
+
+class TestMemo:
+    """to_graph6, is_connected and hso compute once per graph and keep the
+    result on it; the memo never leaves the graph."""
+
+    def test_memo_matches_fresh_computation(self):
+        count = 0
+        for g in _memo_graphs():
+            fresh = Graph(g.n, g.rows)
+            assert _memo(fresh) == (None, None, None)
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                assert g.to_graph6() == _encode_graph6(g.rows) == fresh.to_graph6()
+                assert g.is_connected() is _sweep_connected(g.rows) is fresh.is_connected()
+                iv = hso(g)
+                assert (iv.hso, iv.so) == _hso_so(g) == (hso(fresh).hso, hso(fresh).so)
+                assert iv.graph is g
+            assert _memo(g) == _memo(fresh) == (g.to_graph6(), g.is_connected(), _hso_so(g))
+            count += 1
+        assert count == 1252 + 7 * 4
+
+    def test_pickle_drops_memo(self):
+        g = build(sdprime(7))
+        filled = (g.to_graph6(), g.is_connected(), (hso(g).hso, hso(g).so))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert _memo(copy) == (None, None, None)
+        assert (copy.to_graph6(), copy.is_connected(), (hso(copy).hso, hso(copy).so)) == filled
+
+    def test_removing_a_bridge_disconnects(self):
+        g = p(5)
+        assert g.is_connected()
+        cut = g.remove_edge(2, 3)
+        assert _memo(cut) == (None, None, None)
+        assert not cut.is_connected()
+        assert cut.classify() == DISCONNECTED
+        assert g.is_connected()
+
+    def test_adding_an_edge_starts_a_fresh_memo(self):
+        g = from_edge_list(4, [(0, 1), (2, 3)])
+        assert not g.is_connected() and g.to_graph6() == "C`"
+        joined = g.add_edge(1, 2)
+        assert _memo(joined) == (None, None, None)
+        assert joined.is_connected()
+        assert joined.to_graph6() == p(4).to_graph6()
 
 
 def _random_relabel(g, rng):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hsograph import verify
+from hsograph import graph, indices, verify
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
 from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
@@ -433,6 +433,26 @@ class TestDispatchAndSweeps:
                 hi = check_bicyclic_upper(g)
                 assert lo.holds and lo.consistent, lo.to_dict()
                 assert hi.holds and hi.consistent, hi.to_dict()
+
+    def test_one_computation_of_each_fact(self, monkeypatch):
+        # two triangles sharing an edge, with a pendant path: bicyclic, and
+        # without the cprime/cdprime degrees whose recognizer sweeps g minus
+        # an edge as well
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]
+        calls = []
+        for module, name in ((graph, "_sweep_connected"), (graph, "_encode_graph6"),
+                             (indices, "_hso_so")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        theorems = [t for t, record in verify.THEOREMS.items()
+                    if record.graph_class in ("connected", "bicyclic")]
+        g = from_edge_list(6, edges)
+        reports = [check_theorem(t, g) for t in theorems]
+        assert len(reports) == 7
+        assert sorted(calls) == ["_encode_graph6", "_hso_so", "_sweep_connected"]
+        # the same reports as a fresh graph per theorem gives
+        assert reports == [check_theorem(t, from_edge_list(6, edges)) for t in theorems]
 
     def test_report_serialization(self):
         r = check_sandwich(build(cycle(4)))
