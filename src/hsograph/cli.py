@@ -424,8 +424,6 @@ def cmd_enumerate(args) -> int:
         for g in chain.from_iterable(streams):
             fh.write(g.to_graph6() + "\n")
             count += 1
-        if not count:
-            fh.write("\n")
     print(count, file=sys.stderr)
     return EXIT_OK
 

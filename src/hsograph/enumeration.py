@@ -30,12 +30,14 @@ canonical labeling.  The orbits come from the automorphism generators of the
 labeling search: the child's for the deletion rule, the parent's for the
 sibling filter.
 
-Streams are deterministic: each level is sorted by canonical code and every
-emitted graph is already in its canonical labeling, so repeated runs yield
-byte-identical graph6 sequences and consumers may slice a stream by index
-ranges for parallel work.  The stream functions check their arguments when
-called but build the level only when the first graph is asked for, so a
-caller can check every order of a range before it builds or writes anything.
+Each level is cached as the sorted tuple of its canonical codes, and a
+stream (or the next level's build) makes a fresh Graph, with its own memo,
+from each code in turn.  So streams are deterministic: every graph is in its
+canonical labeling and in code order, repeated runs yield byte-identical
+graph6 sequences and consumers may slice a stream by index ranges for
+parallel work.  The stream functions check their arguments when called but
+build the level only when the first graph is asked for, so a caller can
+check every order of a range before it builds or writes anything.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .graph import (
     OrderTooLargeError,
     _bits,
     _canonical_code_order,
-    _relabel_rows,
+    _unpack,
 )
 
 TREE_MAX_N = 12
@@ -80,14 +82,14 @@ def _orbit(mask, generators):
 
 
 def _canonical_deletion(parents, children):
-    """The level grown from parents: every child (augmentation, rows, new,
-    rivals) whose new vertex or edge (a bitmask) is the canonical one up to
-    automorphism among itself and its rivals (the others that tie with it on
-    invariants), one per class, in canonical labeling and sorted by code.
+    """The level grown from parents, as the sorted canonical codes of every
+    child (augmentation, rows, new, rivals) whose new vertex or edge (a
+    bitmask) is the canonical one up to automorphism among itself and its
+    rivals (the others that tie with it on invariants), one per class.
     The augmentation is what the child adds to its parent, as a bitmask in the
     parent's labels; only the first child of each Aut(parent) orbit of
     augmentations is labeled."""
-    level = []
+    codes = []
     for parent in parents:
         tried = set()  # augmentations tried, closed under Aut(parent) once known
         parent_generators = None
@@ -123,9 +125,8 @@ def _canonical_deletion(parents, children):
                 chosen = max(placed, key=placed.get)
                 if chosen != new and new not in _orbit(chosen, generators):
                     continue
-            level.append((code, Graph(n, _relabel_rows(rows, order))))
-    level.sort()  # codes are distinct, so no two graphs get compared
-    return tuple(g for _, g in level)
+            codes.append(code)
+    return tuple(sorted(codes))
 
 
 def _min_degree_masks(degrees):
@@ -231,33 +232,37 @@ def _edge_children(parent):
                 yield new, tuple(rows), new, rivals
 
 
-def _on_demand(level, *args):
-    """Iterate level(*args), built when the first graph is asked for."""
-    yield from level(*args)
+def _on_demand(level, n, *args):
+    """Iterate the graphs of level(n, *args), each built from its code in
+    canonical labeling; the level is built when the first one is asked for."""
+    for code in level(n, *args):
+        yield Graph(n, _unpack(n, code))
 
 
 @lru_cache(maxsize=None)
 def _all_level(n):
-    """All graphs on n vertices (connected or not), canonical and sorted."""
+    """Codes of all graphs on n vertices (connected or not), sorted."""
     if n == 1:
-        return (Graph(1, (0,)),)
-    return _canonical_deletion(_all_level(n - 1), lambda g: _vertex_children(g, leaf_only=False))
+        return (0,)
+    return _canonical_deletion(_on_demand(_all_level, n - 1),
+                               lambda g: _vertex_children(g, leaf_only=False))
 
 
 @lru_cache(maxsize=None)
 def _tree_level(n):
-    """All free trees on n vertices via leaf attachment."""
+    """Codes of all free trees on n vertices via leaf attachment, sorted."""
     if n == 1:
-        return (Graph(1, (0,)),)
-    return _canonical_deletion(_tree_level(n - 1), lambda g: _vertex_children(g, leaf_only=True))
+        return (0,)
+    return _canonical_deletion(_on_demand(_tree_level, n - 1),
+                               lambda g: _vertex_children(g, leaf_only=True))
 
 
 @lru_cache(maxsize=None)
 def _edge_level(n, m):
-    """All connected graphs on n vertices with m >= n - 1 edges."""
+    """Codes of all connected graphs on n vertices with m >= n - 1 edges, sorted."""
     if m == n - 1:
         return _tree_level(n)
-    return _canonical_deletion(_edge_level(n, m - 1), _edge_children)
+    return _canonical_deletion(_on_demand(_edge_level, n, m - 1), _edge_children)
 
 
 def trees(n: int):

@@ -11,12 +11,14 @@ input is never touched, so instances can be shared freely across workers.
 A Graph fills a memo of its graph6 string, its connectivity and its HSO
 (stored by indices.hso) on first use, so every checker of one graph shares
 one computation of each.  The memo is never pickled: a graph sent to a
-worker arrives with an empty one.
+worker arrives with an empty one.  A graph's canonical code is the graph6
+body of its canonical relabeling, and _unpack turns either back into rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 GRAPH6_MAX_N = 62
 CANONICAL_MAX_N = 16
@@ -264,25 +266,34 @@ def parse_graph6(text: str) -> Graph:
         raise TruncatedBodyError(f"graph6 body needs {need} characters, got {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"unexpected trailing characters after graph6 body: {body[need:]!r}")
-    rows = [0] * n
-    i, j = 0, 1
-    k = 0
+    code = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise IllegalCharacterError(f"illegal graph6 body character {ch!r}")
-        for t in range(5, -1, -1):
-            if k >= npairs:
-                break  # padding bits, ignored
-            if val >> t & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-            i += 1
-            if i == j:
-                j += 1
-                i = 0
-    return Graph(n, tuple(rows))
+        code = code << 6 | val
+    # the low 6 * need - npairs bits are padding, ignored
+    return Graph(n, _unpack(n, code >> (6 * need - npairs)))
+
+
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """The pair (i, j) of each bit of a packed upper triangle, low bit first."""
+    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
+
+
+def _unpack(n, code):
+    """Rows of the graph whose upper triangle, packed column-major with pair
+    (0, 1) most significant, is code: a graph6 body without its padding."""
+    pairs = _pairs(n)
+    rows = [0] * n
+    while code:
+        low = code & -code
+        code ^= low
+        i, j = pairs[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +331,9 @@ class CanonicalForm:
 
     The code packs pair (i, j) bits in column-major order (0,1), (0,2),
     (1,2), (0,3), ... with the first pair most significant, so integer
-    comparison equals lexicographic bit-string comparison and agrees with
-    graph6 ordering at fixed n.
+    comparison equals lexicographic bit-string comparison.  It is the graph6
+    body, less padding, of the graph in canonical labeling: _unpack(n, code)
+    builds that graph's rows.
     """
 
     n: int
@@ -423,23 +435,6 @@ def _canonical_code_order(rows, n):
     return best_code, best_order, generators
 
 
-def _relabel_rows(rows, order):
-    n = len(order)
-    bit = [0] * n  # bit[v]: v's new position, as a bitmask
-    for p, v in enumerate(order):
-        bit[v] = 1 << p
-    new_rows = [0] * n
-    for p, v in enumerate(order):
-        acc = 0
-        rest = rows[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc |= bit[low.bit_length() - 1]
-        new_rows[p] = acc
-    return tuple(new_rows)
-
-
 def _check_canonical_order(n):
     if n > CANONICAL_MAX_N:
         raise OrderTooLargeError(f"canonical forms support n <= {CANONICAL_MAX_N}, got {n}")
@@ -455,5 +450,5 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def canonical_relabel(g: Graph) -> Graph:
     """Copy of g relabeled into its canonical vertex order."""
     _check_canonical_order(g.n)
-    _, order, _ = _canonical_code_order(g.rows, g.n)
-    return Graph(g.n, _relabel_rows(g.rows, order))
+    code, _, _ = _canonical_code_order(g.rows, g.n)
+    return Graph(g.n, _unpack(g.n, code))

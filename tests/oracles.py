@@ -7,7 +7,8 @@ connected-graph recurrence and from direct bitmask sweeps with a
 self-contained connectivity check; isomorphism at tiny orders is decided by
 brute-force minimization over all vertex permutations.  The plain equitable
 refinement, which counts every vertex against every cell in every round, is
-the reference for the package's refinement.
+the reference for the package's refinement, and relabeling rows neighbour by
+neighbour is the reference for its canonical relabeling.
 """
 
 from __future__ import annotations
@@ -349,6 +350,31 @@ def reference_refine(rows, cells):
         if not changed:
             return new_cells
         cells = new_cells
+
+
+# ---------------------------------------------------------------------------
+# relabeling rows vertex by vertex
+# ---------------------------------------------------------------------------
+
+
+def reference_relabel_rows(rows, order):
+    """Rows of the graph with vertex order[p] moved to position p, mapped
+    neighbour by neighbour.  Kept as the reference for canonical_relabel,
+    which builds the relabeled graph from its canonical code instead."""
+    n = len(order)
+    bit = [0] * n  # bit[v]: v's new position, as a bitmask
+    for p, v in enumerate(order):
+        bit[v] = 1 << p
+    new_rows = [0] * n
+    for p, v in enumerate(order):
+        acc = 0
+        rest = rows[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc |= bit[low.bit_length() - 1]
+        new_rows[p] = acc
+    return tuple(new_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hsograph.enumeration import (
     InfeasibleEdgeCountError,
     _all_level,
     _edge_level,
+    _on_demand,
     _orbit,
     _tree_level,
     bicyclic_graphs,
@@ -21,10 +22,11 @@ from hsograph.enumeration import (
 )
 from hsograph.graph import (
     TREE,
+    CanonicalForm,
     OrderTooLargeError,
     _canonical_code_order,
-    _relabel_rows,
     canonical_form,
+    canonical_relabel,
     parse_graph6,
 )
 
@@ -99,7 +101,7 @@ class TestStreamProperties:
         for n in range(2, 8):
             codes = [canonical_form(g) for g in connected_graphs(n)]
             assert len(codes) == len(set(codes))
-        for stream in (_all_level(7), trees(9), unicyclic_graphs(8), bicyclic_graphs(8)):
+        for stream in (_on_demand(_all_level, 7), trees(9), unicyclic_graphs(8), bicyclic_graphs(8)):
             codes = [canonical_form(g) for g in stream]
             assert len(codes) == len(set(codes))
 
@@ -153,6 +155,37 @@ class TestStreamProperties:
             assert parse_graph6(g.to_graph6()).rows == g.rows
 
 
+def _contract_levels():
+    """(level, args) of all graphs to n = 7, trees to n = 10 and the
+    bicyclic chain (trees, unicyclic, bicyclic) to n = 8."""
+    for n in range(1, 8):
+        yield _all_level, (n,)
+    for n in range(1, 11):
+        yield _tree_level, (n,)
+    for n in range(4, 9):
+        for m in range(n - 1, n + 2):
+            yield _edge_level, (n, m)
+
+
+class TestLevelContract:
+    """A cached level is its sorted canonical codes, and each graph a stream
+    builds from a code is the graph with that code, in canonical labeling."""
+
+    def test_levels_are_strictly_increasing_int_tuples(self):
+        for level, args in _contract_levels():
+            codes = level(*args)
+            assert type(codes) is tuple
+            assert all(type(code) is int for code in codes)
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    def test_graphs_are_their_codes_in_canonical_labeling(self):
+        for level, args in _contract_levels():
+            n = args[0]
+            for code, g in zip(level(*args), _on_demand(level, *args), strict=True):
+                assert canonical_form(g) == CanonicalForm(n, code)
+                assert g == canonical_relabel(g)
+
+
 def _image(mask, perm):
     return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
 
@@ -163,7 +196,7 @@ class TestAutomorphismGenerators:
 
     def test_generators_are_automorphisms(self):
         for n in range(1, 7):
-            for g in _all_level(n):
+            for g in _on_demand(_all_level, n):
                 _, _, generators = _canonical_code_order(g.rows, n)
                 for perm in generators:
                     assert sorted(perm) == list(range(n))
@@ -171,10 +204,10 @@ class TestAutomorphismGenerators:
 
     def test_orbits_match_brute_force(self):
         for n in range(1, 7):
-            for g in _all_level(n):
+            for g in _on_demand(_all_level, n):
                 _, _, generators = _canonical_code_order(g.rows, n)
                 group = [p for p in permutations(range(n))
-                         if _relabel_rows(g.rows, p) == g.rows]
+                         if oracles.reference_relabel_rows(g.rows, p) == g.rows]
                 for v in range(n):
                     assert _orbit(1 << v, generators) == {1 << p[v] for p in group}
                 for u, v in g.edges():

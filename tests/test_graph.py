@@ -35,7 +35,7 @@ from hsograph.graph import (
     from_edge_list,
     parse_graph6,
 )
-from hsograph.enumeration import _all_level
+from hsograph.enumeration import _all_level, _on_demand
 from hsograph.families import build, cycle, sdprime, star
 from hsograph.indices import _hso_so, hso
 
@@ -74,7 +74,7 @@ class TestConstruction:
             from_edge_list(3, [(0, 1), (1, 0)])
 
     def test_handshake_over_enumerated(self):
-        for g in _all_level(6):
+        for g in _on_demand(_all_level, 6):
             assert sum(g.degrees) == 2 * g.m
 
 
@@ -95,11 +95,11 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<Bw").rows == parse_graph6("Bw").rows
 
     def test_round_trip_labeled(self):
-        for g in _all_level(5):
+        for g in _on_demand(_all_level, 5):
             assert parse_graph6(g.to_graph6()).rows == g.rows
 
     def test_round_trip_strings(self):
-        for g in _all_level(5):
+        for g in _on_demand(_all_level, 5):
             s = g.to_graph6()
             assert parse_graph6(s).to_graph6() == s
 
@@ -115,12 +115,34 @@ class TestGraph6:
         assert parse_graph6(g.to_graph6()).rows == g.rows
 
     def test_matches_networkx(self):
-        for g in _all_level(6):
+        for g in _on_demand(_all_level, 6):
             mine = g.to_graph6()
             theirs = nx.from_graph6_bytes(mine.encode())
             assert set(theirs.edges()) == set(g.edges())
             back = nx.to_graph6_bytes(theirs, header=False).decode().strip()
             assert parse_graph6(back).rows == g.rows
+
+    def test_decode_matches_networkx_on_random_graphs(self):
+        rng = random.Random(6)
+        for n in range(7, 63):
+            npairs = n * (n - 1) // 2
+            pad = -npairs % 6  # padding bits in the last body character
+            for density in (0.1, 0.5, 0.9):
+                theirs = nx.Graph()
+                theirs.add_nodes_from(range(n))
+                theirs.add_edges_from((i, j) for j in range(1, n) for i in range(j)
+                                      if rng.random() < density)
+                text = nx.to_graph6_bytes(theirs, header=False).decode().strip()
+                mine = parse_graph6(text)
+                assert mine.n == n
+                assert set(mine.edges()) == {tuple(sorted(e)) for e in theirs.edges()}
+                if pad:
+                    # set padding bits are ignored, by networkx and here
+                    last = ord(text[-1]) - 63 | rng.randrange(1, 1 << pad)
+                    junk = text[:-1] + chr(63 + last)
+                    assert junk != text
+                    assert parse_graph6(junk).rows == mine.rows
+                    assert set(nx.from_graph6_bytes(junk.encode()).edges()) == set(theirs.edges())
 
     def test_truncated_body(self):
         with pytest.raises(TruncatedBodyError):
@@ -198,7 +220,7 @@ class TestMutation:
 def _memo_graphs():
     """Every graph with n <= 7, connected or not, and seeded random graphs
     at n = 10..16 from sparse to dense."""
-    yield from (g for n in range(1, 8) for g in _all_level(n))
+    yield from (g for n in range(1, 8) for g in _on_demand(_all_level, n))
     rng = random.Random(14)
     for n in range(10, 17):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -274,7 +296,7 @@ class TestCanonicalForm:
     def test_invariance_random_relabelings(self):
         rng = random.Random(2024)
         for n in range(2, 7):
-            for g in _all_level(n):
+            for g in _on_demand(_all_level, n):
                 code = canonical_form(g)
                 for _ in range(20):
                     assert canonical_form(_random_relabel(g, rng)) == code
@@ -285,7 +307,7 @@ class TestCanonicalForm:
         for n in range(2, 7):
             mapping = {}
             rng = random.Random(99)
-            for g in _all_level(n):
+            for g in _on_demand(_all_level, n):
                 for h in [g, _random_relabel(g, rng)]:
                     brute = oracles.brute_min_code(h.n, list(h.edges()))
                     mine = canonical_form(h)
@@ -299,7 +321,7 @@ class TestCanonicalForm:
             out.add_edges_from(g.edges())
             return out
 
-        graphs = list(_all_level(5))
+        graphs = list(_on_demand(_all_level, 5))
         for i, g in enumerate(graphs):
             for h in graphs[i + 1:]:
                 # the enumerated level is duplicate-free, so networkx must
@@ -307,10 +329,19 @@ class TestCanonicalForm:
                 assert not nx.is_isomorphic(to_nx(g), to_nx(h))
 
     def test_relabel_is_stable(self):
-        for g in _all_level(5):
+        for g in _on_demand(_all_level, 5):
             c = canonical_relabel(g)
             assert canonical_form(c) == canonical_form(g)
             assert canonical_relabel(c).rows == c.rows
+
+    def test_relabel_matches_reference(self):
+        # every graph with n <= 7, in its canonical labeling and relabeled,
+        # and seeded random graphs at n = 10..16
+        rng = random.Random(15)
+        for g in _memo_graphs():
+            for h in (g, _random_relabel(g, rng)):
+                _, order, _ = _canonical_code_order(h.rows, h.n)
+                assert canonical_relabel(h).rows == oracles.reference_relabel_rows(h.rows, order)
 
     def test_order_cap(self):
         g = Graph(17, tuple(0 for _ in range(17)))
@@ -322,7 +353,7 @@ def _refinement_graphs():
     """Every graph on up to 7 vertices, then seeded random connected graphs
     and the cycles on 9..16 vertices."""
     for n in range(1, 8):
-        yield from _all_level(n)
+        yield from _on_demand(_all_level, n)
     rng = random.Random(16)
     for n in range(9, 17):
         for chords in (0, n // 2, 2 * n):
