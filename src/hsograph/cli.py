@@ -22,7 +22,7 @@ from itertools import chain
 from . import __version__
 from .enumeration import InfeasibleEdgeCountError, connected_graphs_with_edges, graphs_in_class
 from .families import InvalidParametersError, build, parse_family
-from .graph import Graph, GraphError, parse_graph6
+from .graph import CLASSES, Graph, GraphError, parse_graph6
 from .indices import hso
 from .search import (
     CampaignSummary,
@@ -46,7 +46,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 
-GRAPH_CLASSES = ("tree", "unicyclic", "bicyclic", "connected")
+GRAPH_CLASSES = (*CLASSES, "connected")
 
 _TOOL = f"hsograph {__version__}"
 

@@ -8,6 +8,11 @@ minus a vertex need not be connected) and connectivity is filtered at the
 end.  Trees come from trees plus a leaf.  Connected graphs with m edges come
 from those with m-1 edges plus one non-edge, starting at the trees.
 
+A class of graph.CLASSES is its cyclomatic number m - n + 1, the class's
+index in that one tuple.  So graphs_in_class streams a class as the
+connected graphs with n - 1 + index edges, and trees, unicyclic_graphs and
+bicyclic_graphs are graphs_in_class with the tag bound.
+
 A child is kept only if what was just added is what canonical deletion would
 remove again, up to automorphism:
 
@@ -42,10 +47,14 @@ check every order of a range before it builds or writes anything.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .graph import (
+    BICYCLIC,
+    CLASSES,
+    TREE,
+    UNICYCLIC,
     Graph,
     OrderTooLargeError,
     _bits,
@@ -265,21 +274,12 @@ def _edge_level(n, m):
     return _canonical_deletion(_on_demand(_edge_level, n, m - 1), _edge_children)
 
 
-def trees(n: int):
-    """Every free tree on n vertices exactly once, sorted by canonical code."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > TREE_MAX_N:
-        raise OrderTooLargeError(f"tree enumeration supports n <= {TREE_MAX_N}")
-    return _on_demand(_tree_level, n)
-
-
 def connected_graphs(n: int):
     """Every connected graph on n vertices exactly once, sorted by canonical code."""
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > CONNECTED_MAX_N:
-        raise OrderTooLargeError(f"connected enumeration supports n <= {CONNECTED_MAX_N}")
+        raise OrderTooLargeError(f"connected enumeration supports n <= {CONNECTED_MAX_N}, got {n}")
     return filter(Graph.is_connected, _on_demand(_all_level, n))
 
 
@@ -289,35 +289,26 @@ def connected_graphs_with_edges(n: int, m: int):
         raise ValueError("order must be at least 1")
     if not n - 1 <= m <= n * (n - 1) // 2:
         raise InfeasibleEdgeCountError(
-            f"no connected graph on {n} vertices has {m} edges"
+            f"no connected graph on {n} {'vertex' if n == 1 else 'vertices'} "
+            f"has {m} {'edge' if m == 1 else 'edges'}"
         )
     if n > TREE_MAX_N:
-        raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}")
+        raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}, got {n}")
     return _on_demand(_edge_level, n, m)
 
 
-def unicyclic_graphs(n: int):
-    """Connected graphs with exactly one cycle (m = n)."""
-    if n < 3:
-        raise InfeasibleEdgeCountError("unicyclic graphs need n >= 3")
-    return connected_graphs_with_edges(n, n)
-
-
-def bicyclic_graphs(n: int):
-    """Connected graphs with cyclomatic number two (m = n + 1)."""
-    if n < 4:
-        raise InfeasibleEdgeCountError("bicyclic graphs need n >= 4")
-    return connected_graphs_with_edges(n, n + 1)
-
-
 def graphs_in_class(tag: str, n: int):
-    """Dispatch a class stream by tag: tree, unicyclic, bicyclic or connected."""
-    if tag == "tree":
-        return trees(n)
-    if tag == "unicyclic":
-        return unicyclic_graphs(n)
-    if tag == "bicyclic":
-        return bicyclic_graphs(n)
+    """Every graph on n vertices of class tag: all connected graphs for
+    "connected", else the connected graphs whose cyclomatic number is the
+    tag's index in graph.CLASSES, that is with n - 1 + index edges."""
     if tag == "connected":
         return connected_graphs(n)
-    raise ValueError(f"unknown graph class {tag!r}")
+    if tag not in CLASSES:
+        raise ValueError(f"unknown graph class {tag!r}")
+    return connected_graphs_with_edges(n, n - 1 + CLASSES.index(tag))
+
+
+# the class streams: trees(n) is graphs_in_class(TREE, n), and so on
+trees = partial(graphs_in_class, TREE)
+unicyclic_graphs = partial(graphs_in_class, UNICYCLIC)
+bicyclic_graphs = partial(graphs_in_class, BICYCLIC)

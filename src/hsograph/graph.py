@@ -23,9 +23,10 @@ from functools import lru_cache
 GRAPH6_MAX_N = 62
 CANONICAL_MAX_N = 16
 
-TREE = "tree"
-UNICYCLIC = "unicyclic"
-BICYCLIC = "bicyclic"
+# The classes of connected graphs the paper treats, indexed by cyclomatic
+# number m - n + 1.  classify, enumeration.graphs_in_class and the CLI's
+# --class choices all read the classes from this one tuple.
+CLASSES = TREE, UNICYCLIC, BICYCLIC = ("tree", "unicyclic", "bicyclic")
 OTHER_CONNECTED = "other-connected"
 DISCONNECTED = "disconnected"
 
@@ -172,17 +173,12 @@ class Graph:
         return connected
 
     def classify(self) -> str:
-        """Class tag by cyclomatic number m - n + 1 (tree/unicyclic/bicyclic/...)."""
+        """CLASSES[m - n + 1] for a connected graph whose cyclomatic number
+        indexes CLASSES, else other-connected or disconnected."""
         if not self.is_connected():
             return DISCONNECTED
         c = self.m - self.n + 1
-        if c == 0:
-            return TREE
-        if c == 1:
-            return UNICYCLIC
-        if c == 2:
-            return BICYCLIC
-        return OTHER_CONNECTED
+        return CLASSES[c] if c < len(CLASSES) else OTHER_CONNECTED
 
     def to_graph6(self) -> str:
         """The graph6 string of this graph; encoded on first call."""

@@ -136,11 +136,6 @@ def is_heavy_independent(g: Graph) -> bool:
     """
     if not g.is_connected():
         raise DisconnectedInputError("is_heavy_independent requires a connected graph")
-    return _heavy_independent(g)
-
-
-def _heavy_independent(g: Graph) -> bool:
-    """is_heavy_independent for a graph already known to be connected."""
     dmin = g.min_degree
     if g.max_degree == dmin:
         return False
@@ -155,11 +150,10 @@ def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     regular graphs and by the heavy-independent class."""
     iv = hso(g)
     regular = g.max_degree == g.min_degree
-    heavy = not regular and _heavy_independent(g)
     return _bounded_report(
         theorem, g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
         ("regular", regular),
-        ("regular" if regular else "heavy-independent", regular or heavy),
+        ("regular" if regular else "heavy-independent", regular or is_heavy_independent(g)),
         tolerance,
     )
 

@@ -164,6 +164,16 @@ class TestErrorExits:
         assert run_cli("search", "extremal-table", "--class", "tree", "--n", "0..2") == EXIT_USAGE
         assert capsys.readouterr().err == "error: argument --n: orders start at 1, got '0..2'\n"
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """The level builders and cli.check_theorem fail if called."""
+        def fail(*args, **kwargs):
+            raise AssertionError("work done before the order check")
+
+        for name in ("_all_level", "_tree_level", "_edge_level"):
+            monkeypatch.setattr(enumeration, name, fail)
+        monkeypatch.setattr(cli, "check_theorem", fail)
+
     @pytest.mark.parametrize("argv", [
         ("verify", "bicyclic-lower", "--n", "4..13"),
         ("verify", "unicyclic-bounds", "--n", "3..13"),
@@ -171,17 +181,27 @@ class TestErrorExits:
         ("search", "extremal-table", "--class", "unicyclic", "--n", "3..13"),
         ("search", "conjecture", "--n", "2..10", "--allow-large"),
         ("enumerate", "--class", "bicyclic", "--n", "4..13"),
+        ("enumerate", "--class", "tree", "--n", "10..13"),
     ])
-    def test_order_past_cap_fails_before_any_work(self, argv, monkeypatch, capsys):
+    def test_order_past_cap_fails_before_any_work(self, argv, no_work, capsys):
         # the top order is past its class cap: no level is built, no graph checked
-        def no_work(*args, **kwargs):
-            raise AssertionError("work done before the order check")
-
-        for name in ("_all_level", "_tree_level", "_edge_level"):
-            monkeypatch.setattr(enumeration, name, no_work)
-        monkeypatch.setattr(cli, "check_theorem", no_work)
         assert run_cli(*argv) == EXIT_USAGE
-        assert "enumeration supports n <=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "enumeration supports n <=" in err
+        assert err.endswith(f", got {argv[argv.index('--n') + 1].split('..')[-1]}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("enumerate", "--class", "unicyclic", "--n", "2..5"),
+         "no connected graph on 2 vertices has 2 edges"),
+        (("enumerate", "--class", "unicyclic", "--n", "1"),
+         "no connected graph on 1 vertex has 1 edge"),
+        (("search", "extremal-table", "--class", "bicyclic", "--n", "3..6"),
+         "no connected graph on 3 vertices has 4 edges"),
+    ])
+    def test_order_below_floor_fails_before_any_work(self, argv, message, no_work, capsys):
+        # the bottom order is below its class floor: no level is built
+        assert run_cli(*argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, option", [
         (("search", "conjecture", "--n", "4", "--class", "tree"), "--class"),

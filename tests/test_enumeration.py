@@ -17,11 +17,15 @@ from hsograph.enumeration import (
     bicyclic_graphs,
     connected_graphs,
     connected_graphs_with_edges,
+    graphs_in_class,
     trees,
     unicyclic_graphs,
 )
 from hsograph.graph import (
+    BICYCLIC,
+    CLASSES,
     TREE,
+    UNICYCLIC,
     CanonicalForm,
     OrderTooLargeError,
     _canonical_code_order,
@@ -146,9 +150,15 @@ class TestStreamProperties:
         second = [(g.n, g.rows) for g in connected_graphs(5)]
         assert first == second
 
-    def test_only_trees_in_tree_stream(self):
-        for g in trees(8):
-            assert g.classify() == TREE
+    @pytest.mark.parametrize("tag", CLASSES)
+    def test_class_stream_holds_only_its_class(self, tag):
+        public = {TREE: trees, UNICYCLIC: unicyclic_graphs, BICYCLIC: bicyclic_graphs}[tag]
+        for n in range(1, 9):
+            if n - 1 + CLASSES.index(tag) > n * (n - 1) // 2:
+                continue  # below the class's least order
+            graphs = list(public(n))
+            assert graphs == list(graphs_in_class(tag, n))
+            assert all(g.classify() == tag for g in graphs)
 
     def test_graph6_round_trip_over_streams(self):
         for g in connected_graphs(6):

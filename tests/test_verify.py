@@ -11,7 +11,7 @@ import oracles
 from hsograph import graph, indices, verify
 from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicyclic_graphs
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
-from hsograph.graph import Graph, OrderTooLargeError, canonical_form, from_edge_list
+from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list
 from hsograph.indices import edge_term, hso
 from hsograph.verify import (
     DisconnectedInputError,
@@ -63,9 +63,11 @@ class TestHeavyIndependent:
 
 class TestSandwich:
     def test_one_connectivity_sweep(self, monkeypatch):
+        # classify and is_heavy_independent both ask; the memo sweeps once
         sweeps = []
-        connected = Graph.is_connected
-        monkeypatch.setattr(Graph, "is_connected", lambda g: sweeps.append(g) or connected(g))
+        sweep = graph._sweep_connected
+        monkeypatch.setattr(graph, "_sweep_connected",
+                            lambda rows: sweeps.append(rows) or sweep(rows))
         assert check_sandwich(build(star(5))).structural_class == "heavy-independent"
         assert len(sweeps) == 1
 
