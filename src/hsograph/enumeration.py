@@ -37,12 +37,14 @@ sibling filter.
 
 Each level is cached as the sorted tuple of its canonical codes, and a
 stream (or the next level's build) makes a fresh Graph, with its own memo,
-from each code in turn.  So streams are deterministic: every graph is in its
-canonical labeling and in code order, repeated runs yield byte-identical
-graph6 sequences and consumers may slice a stream by index ranges for
-parallel work.  The stream functions check their arguments when called but
-build the level only when the first graph is asked for, so a caller can
-check every order of a range before it builds or writes anything.
+from each code in turn.  The code is also the graph's graph6 body, so each
+graph's graph6 is formatted from it and never encoded bit by bit.  Streams
+are deterministic: every graph is in its canonical labeling and in code
+order, repeated runs yield byte-identical graph6 sequences and consumers may
+slice a stream by index ranges for parallel work.  The stream functions
+check their arguments when called but build the level only when the first
+graph is asked for, so a caller can check every order of a range before it
+builds or writes anything.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .graph import (
     OrderTooLargeError,
     _bits,
     _canonical_code_order,
+    _code_graph6,
     _unpack,
 )
 
@@ -243,9 +246,12 @@ def _edge_children(parent):
 
 def _on_demand(level, n, *args):
     """Iterate the graphs of level(n, *args), each built from its code in
-    canonical labeling; the level is built when the first one is asked for."""
+    canonical labeling with its graph6 formatted from that code; the level
+    is built when the first one is asked for."""
     for code in level(n, *args):
-        yield Graph(n, _unpack(n, code))
+        g = Graph(n, _unpack(n, code))
+        g._graph6 = _code_graph6(n, code)
+        yield g
 
 
 @lru_cache(maxsize=None)

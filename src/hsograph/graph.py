@@ -10,13 +10,19 @@ Graphs are values: every mutating operation returns a fresh Graph and the
 input is never touched, so instances can be shared freely across workers.
 A Graph fills a memo of its graph6 string, its connectivity and its HSO
 (stored by indices.hso) on first use, so every checker of one graph shares
-one computation of each.  The memo is never pickled: a graph sent to a
-worker arrives with an empty one.  A graph's canonical code is the graph6
-body of its canonical relabeling, and _unpack turns either back into rows.
+one computation of each.  The graph6 memo is set as the graph is made where
+its source already says it: parse_graph6 keeps the text it decoded when that
+text is the canonical encoding, and an enumeration stream formats each
+graph's canonical code with _code_graph6.  Any other graph is encoded from
+its rows on the first to_graph6 call.  The memo is never pickled: a graph
+sent to a worker arrives with an empty one.  A graph's canonical code is the
+graph6 body of its canonical relabeling, less padding; _unpack turns either
+back into rows and _code_graph6 turns a code into graph6.
 """
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -181,7 +187,9 @@ class Graph:
         return CLASSES[c] if c < len(CLASSES) else OTHER_CONNECTED
 
     def to_graph6(self) -> str:
-        """The graph6 string of this graph; encoded on first call."""
+        """The graph6 string of this graph.  It is the parsed text or the
+        stream code's encoding when the graph came from one, else encoded
+        from the rows on the first call."""
         text = self._graph6
         if text is None:
             text = self._graph6 = _encode_graph6(self.rows)
@@ -202,25 +210,32 @@ def _sweep_connected(rows) -> bool:
 
 
 def _encode_graph6(rows) -> str:
-    """Encode in graph6: header byte 63+n, upper triangle packed column-major."""
-    n = len(rows)
-    if n > GRAPH6_MAX_N:
-        raise OrderTooLargeError(f"graph6 short form requires n <= {GRAPH6_MAX_N}")
-    out = [chr(63 + n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
+    """Encode in graph6: the upper triangle packed column-major, as _unpack
+    reads it, formatted by _code_graph6."""
+    code = 0
+    for j in range(1, len(rows)):
         rj = rows[j]
         for i in range(j):
-            acc = (acc << 1) | (rj >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+            code = code << 1 | (rj >> i & 1)
+    return _code_graph6(len(rows), code)
+
+
+# base64 writes 6-bit groups from 0 up as this alphabet, graph6 as chr(63 + group)
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+
+
+def _code_graph6(n, code) -> str:
+    """graph6 of the graph on n vertices whose packed upper triangle is code:
+    header byte 63+n, then code shifted left by the padding, 6 bits a character."""
+    if n > GRAPH6_MAX_N:
+        raise OrderTooLargeError(f"graph6 short form requires n <= {GRAPH6_MAX_N}")
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    # whole 3-byte groups, so base64 pads nothing; the characters past need are dropped
+    nbytes = (need + 3) // 4 * 3
+    body = binascii.b2a_base64((code << (8 * nbytes - npairs)).to_bytes(nbytes, "big"), newline=False)
+    return chr(63 + n) + body[:need].translate(_BASE64_TO_GRAPH6).decode("ascii")
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -269,7 +284,12 @@ def parse_graph6(text: str) -> Graph:
             raise IllegalCharacterError(f"illegal graph6 body character {ch!r}")
         code = code << 6 | val
     # the low 6 * need - npairs bits are padding, ignored
-    return Graph(n, _unpack(n, code >> (6 * need - npairs)))
+    pad = 6 * need - npairs
+    g = Graph(n, _unpack(n, code >> pad))
+    if s == text and not code & ((1 << pad) - 1):
+        # no prefix, no whitespace and zero padding: text is the encoding
+        g._graph6 = text
+    return g
 
 
 @lru_cache(maxsize=None)

@@ -215,25 +215,35 @@ def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
     lie in [sqrt(2), sqrt(D^2+4)/2] with the lower end at equal degrees and
     the upper end at (D, 2).
 
-    Every verdict depends only on the edge's sorted degree pair, so each
-    distinct pair is judged once per call and the edges, walked in order,
-    only collect the first four offences for the note.
+    Every verdict depends only on the edge's sorted degree pair, the caps
+    and the tolerance, so each (pair, caps, tolerance) is judged once per
+    process.  One pass over the rows collects the graph's distinct pairs,
+    and only when some verdict has an offence are the edges walked, in
+    order, to collect the first four offences for the note.
     """
     degs = g.degrees
     caps = (g.max_degree, g.n - 1)
-    verdicts = {}
-    bad = []
-    for u, v in g.edges():
-        du, dv = degs[u], degs[v]
-        pair = (du, dv) if du <= dv else (dv, du)
-        verdict = verdicts.get(pair)
-        if verdict is None:
-            verdict = verdicts[pair] = _lemma_verdict(*pair, caps, tolerance)
-        offences = verdict[2]
-        if offences and len(bad) < 4:
-            bad.extend((u, v, cap, kind) for cap, kind in offences)
+    pairs = set()
+    for u, high in enumerate(g.rows):
+        du = degs[u]
+        high >>= u + 1
+        while high:
+            low = high & -high
+            high ^= low
+            dv = degs[u + low.bit_length()]
+            pairs.add((du, dv) if du <= dv else (dv, du))
+    verdicts = {pair: _lemma_verdict(*pair, caps, tolerance) for pair in pairs}
     kinds = {kind for _, _, offences in verdicts.values() for _, kind in offences}
-    note = "" if not bad else f"offending edges: {bad[:4]}"
+    note = ""
+    if kinds:
+        bad = []
+        for u, v in g.edges():
+            du, dv = degs[u], degs[v]
+            bad.extend((u, v, cap, kind)
+                       for cap, kind in verdicts[(du, dv) if du <= dv else (dv, du)][2])
+            if len(bad) >= 4:
+                break
+        note = f"offending edges: {bad[:4]}"
     return TheoremReport(
         theorem, g.to_graph6(), g.n, hso(g).hso, None, None,
         "outside" not in kinds,
@@ -243,11 +253,13 @@ def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
     )
 
 
+@lru_cache(maxsize=None)
 def _lemma_verdict(lo_deg: int, hi_deg: int, caps: tuple[int, int], tolerance: float):
     """(eq_lower, eq_upper, offences) of every edge whose sorted degrees are
     (lo_deg, hi_deg): whether the term meets either end of its interval under
     some cap, and each (cap, kind) in cap order where it leaves its interval
-    ("outside") or misses its equality pattern ("equality-pattern")."""
+    ("outside") or misses its equality pattern ("equality-pattern").
+    Memoized for the process; the result is an immutable tuple."""
     term = edge_term(lo_deg, hi_deg)
     eq_lower = eq_upper = False
     offences = []

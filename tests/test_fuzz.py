@@ -16,7 +16,14 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hsograph.families import KINDS, FamilySpec, InvalidParametersError, build, parse_family  # noqa: E402
-from hsograph.graph import GRAPH6_MAX_N, Graph, GraphError, from_edge_list, parse_graph6  # noqa: E402
+from hsograph.graph import (  # noqa: E402
+    GRAPH6_MAX_N,
+    Graph,
+    GraphError,
+    _encode_graph6,
+    from_edge_list,
+    parse_graph6,
+)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -53,8 +60,10 @@ def test_graph6_round_trip(g):
     text = g.to_graph6()
     back = parse_graph6(text)
     assert back == g
-    assert back.to_graph6() == text
-    assert parse_graph6(">>graph6<<" + text + "\n") == g
+    assert back._graph6 == text == _encode_graph6(g.rows)
+    wrapped = parse_graph6(">>graph6<<" + text + "\n")
+    assert wrapped == g
+    assert wrapped._graph6 is None and wrapped.to_graph6() == text
 
 
 @FUZZ
@@ -65,10 +74,14 @@ def test_graph6_malformed_raises_only_graph_error(text):
     except GraphError:
         return
     assert isinstance(g, Graph) and 1 <= g.n <= GRAPH6_MAX_N
+    # the parsed text is kept as the graph6 memo exactly when it is the encoding
+    kept = g._graph6 is not None
+    encoded = g.to_graph6()
+    assert encoded == _encode_graph6(g.rows)
+    assert kept == (text == encoded)
     # an accepted string re-encodes to itself, up to the padding bits of its
     # last character
     body = text.strip().removeprefix(">>graph6<<")
-    encoded = g.to_graph6()
     assert len(encoded) == len(body) and encoded[:-1] == body[:-1]
     assert all(not row >> v & 1 for v, row in enumerate(g.rows))
     assert all((g.rows[u] >> v & 1) == (g.rows[v] >> u & 1) for u in range(g.n) for v in range(g.n))

@@ -12,6 +12,7 @@ import networkx as nx
 from hsograph.graph import (
     DISCONNECTED,
     BICYCLIC,
+    CLASSES,
     OTHER_CONNECTED,
     TREE,
     UNICYCLIC,
@@ -35,7 +36,7 @@ from hsograph.graph import (
     from_edge_list,
     parse_graph6,
 )
-from hsograph.enumeration import _all_level, _on_demand
+from hsograph.enumeration import _all_level, _on_demand, connected_graphs, graphs_in_class
 from hsograph.families import build, cycle, sdprime, star
 from hsograph.indices import _hso_so, hso
 
@@ -99,9 +100,11 @@ class TestGraph6:
             assert parse_graph6(g.to_graph6()).rows == g.rows
 
     def test_round_trip_strings(self):
-        for g in _on_demand(_all_level, 5):
+        # the decoded text is already the encoding, so it is kept as the memo
+        for g in _on_demand(_all_level, 6):
             s = g.to_graph6()
-            assert parse_graph6(s).to_graph6() == s
+            parsed = parse_graph6(s)
+            assert parsed._graph6 == s == _encode_graph6(parsed.rows)
 
     def test_round_trip_large_random(self):
         rng = random.Random(7)
@@ -143,6 +146,18 @@ class TestGraph6:
                     assert junk != text
                     assert parse_graph6(junk).rows == mine.rows
                     assert set(nx.from_graph6_bytes(junk.encode()).edges()) == set(theirs.edges())
+
+    @pytest.mark.parametrize("text, encoded", [
+        ("Bx", "Bw"),  # nonzero padding
+        (">>graph6<<Bw", "Bw"),
+        (" Bw\n", "Bw"),
+        (">>graph6<<DhC\t", "DhC"),
+        (">>graph6<<Bx\n", "Bw"),
+    ])
+    def test_other_text_re_encoded(self, text, encoded):
+        g = parse_graph6(text)
+        assert g._graph6 is None
+        assert g.to_graph6() == encoded == _encode_graph6(g.rows)
 
     def test_truncated_body(self):
         with pytest.raises(TruncatedBodyError):
@@ -250,6 +265,20 @@ class TestMemo:
             assert _memo(g) == _memo(fresh) == (g.to_graph6(), g.is_connected(), _hso_so(g))
             count += 1
         assert count == 1252 + 7 * 4
+
+    def test_stream_graph6_from_code(self):
+        # every stream graph arrives with its graph6 formatted from its code
+        streams = [connected_graphs(n) for n in range(1, 9)]
+        streams += [graphs_in_class(tag, n) for index, tag in enumerate(CLASSES)
+                    for n in range(1, 11) if n - 1 + index <= n * (n - 1) // 2]
+        count = 0
+        for stream in streams:
+            for g in stream:
+                assert g._graph6 is not None
+                assert g.to_graph6() == _encode_graph6(g.rows)
+                count += 1
+        # connected to n = 8, then trees, unicyclic and bicyclic graphs to n = 10
+        assert count == 12113 + 201 + 1040 + 3803
 
     def test_pickle_drops_memo(self):
         g = build(sdprime(7))

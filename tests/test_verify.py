@@ -298,12 +298,35 @@ def lemma_graphs():
             yield from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
 
 
+@pytest.fixture
+def fresh_verdicts():
+    """Empty the process-wide verdict cache before a test patches the
+    bounds and again at teardown, so that no verdict judged under one set
+    of bounds answers under the other."""
+    verify._lemma_verdict.cache_clear()
+    yield
+    verify._lemma_verdict.cache_clear()
+
+
 class TestLemmaAgainstPerEdgeReference:
     def test_same_report(self):
         for g in lemma_graphs():
             assert check_lemma_edge_bounds(g).to_dict() == reference_lemma_edge_bounds(g), g
 
-    def test_planted_fault_same_note(self, monkeypatch):
+    def test_each_tolerance_its_own_report(self):
+        # path 0-1-2-3-4 under caps (2, 4): at tolerance 0.5 the inner term
+        # sqrt(2) at degrees (2, 2) lies within the slack of the inner upper
+        # end sqrt(20)/2 under cap 4, an equality its pattern rules out; at
+        # 1e-9 it does not.  Each tolerance keeps its own verdicts, in any order.
+        g = build(path(5))
+        reports = {}
+        for tolerance in (1e-9, 0.5, 1e-9, 0.5):
+            report = check_lemma_edge_bounds(g, tolerance).to_dict()
+            assert report == reference_lemma_edge_bounds(g, tolerance)
+            assert report == reports.setdefault(tolerance, report)
+        assert reports[1e-9]["consistent"] and not reports[0.5]["consistent"]
+
+    def test_planted_fault_same_note(self, monkeypatch, fresh_verdicts):
         true_bounds = verify.edge_term_bounds
 
         def narrowed(du, dv, cap):
@@ -321,7 +344,7 @@ class TestLemmaAgainstPerEdgeReference:
             notes += report["note"].count("(") == 4
         assert notes > 1000
 
-    def test_planted_fault_note_in_edge_order(self, monkeypatch):
+    def test_planted_fault_note_in_edge_order(self, monkeypatch, fresh_verdicts):
         true_bounds = verify.edge_term_bounds
 
         def narrowed(du, dv, cap):
