@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
@@ -36,7 +37,6 @@ from .verify import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCE,
     THEOREMS,
-    TheoremReport,
     check_pendant_split_monotone,
     check_theorem,
 )
@@ -57,10 +57,33 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Options are spelled in full, and a parse error raises UsageError, so
-    main() reports it like every other usage error."""
+    main() reports it like every other usage error.
+
+    add_argument only records its call; the arguments are added when the
+    parser first parses or formats its help, so a run adds the arguments of
+    its own command only.  argparse's subparsers action reaches the chosen
+    subparser through its parse_known_args.
+    """
 
     def __init__(self, **kwargs):
+        self._waiting = []
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self._waiting.append((args, kwargs))
+
+    def _add_waiting(self):
+        waiting, self._waiting = self._waiting, []
+        for args, kwargs in waiting:
+            super().add_argument(*args, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_waiting()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self):
+        self._add_waiting()
+        return super().format_help()
 
     def error(self, message):
         raise UsageError(message)
@@ -126,13 +149,6 @@ def _output(path):
             yield fh
 
 
-def _write_text(path, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _write_csv(fh, meta: dict, header, rows):
     """The header line, then one csv line (ended by \\r\\n) per row, written as they come."""
     fh.write(_header_lines(meta) + "\n")
@@ -141,13 +157,29 @@ def _write_csv(fh, meta: dict, header, rows):
     writer.writerows(rows)
 
 
-# Each _write_* renderer writes one document to fh, ending in a newline.
+# Each _write_* renderer writes one document to fh, ending in a newline, and
+# writes each report or witness as it comes.
 
 
-def _write_reports(fh, reports: list[TheoremReport], fmt: str, meta: dict):
+def _write_json(fh, meta: dict, key: str, items):
+    """The bytes of print(json.dumps({"tool": ..., **meta, key: list(items)},
+    indent=2, sort_keys=True)), written item by item: the keys around the
+    list come from the same document with the list empty."""
+    head, tail = json.dumps({"tool": _TOOL, **meta, key: []}, indent=2,
+                            sort_keys=True).split(f'"{key}": []')
+    fh.write(f'{head}"{key}": [')
+    empty = True
+    for item in items:
+        # an item of the list sits two levels deep, four spaces in
+        item_text = json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+        fh.write(("\n    " if empty else ",\n    ") + item_text)
+        empty = False
+    fh.write(("]" if empty else "\n  ]") + tail + "\n")
+
+
+def _write_reports(fh, reports, fmt: str, meta: dict):
     if fmt == "json":
-        doc = {"tool": _TOOL, **meta, "reports": [r.to_dict() for r in reports]}
-        print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
+        _write_json(fh, meta, "reports", (r.to_dict() for r in reports))
     elif fmt == "csv":
         _write_csv(fh, meta, CSV_COLUMNS, (r.csv_row() for r in reports))
     else:
@@ -164,8 +196,7 @@ def _write_reports(fh, reports: list[TheoremReport], fmt: str, meta: dict):
 
 def _write_witnesses(fh, witnesses, fmt: str, meta: dict):
     if fmt == "json":
-        doc = {"tool": _TOOL, **meta, "witnesses": [w.to_dict() for w in witnesses]}
-        print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
+        _write_json(fh, meta, "witnesses", (w.to_dict() for w in witnesses))
     elif fmt == "csv":
         header = ["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta"]
         _write_csv(fh, meta, header, (
@@ -219,11 +250,15 @@ def run_verify_campaign(
     tolerance: float = DEFAULT_TOLERANCE,
     jobs: int = 1,
     allow_large: bool = False,
-) -> tuple[CampaignSummary, list[TheoremReport]]:
+    write=None,
+) -> CampaignSummary:
     """Sweep a theorem checker over every graph of the class in the order range.
 
-    Returns the campaign summary plus the per-graph reports in stream order,
-    which is (order, graph6) order at any worker count.  check_theorem and
+    Each report is folded into the returned summary as it comes, then handed
+    on to write, which takes the iterator of reports and consumes it; the
+    reports come in stream order, which is (order, graph6) order at any
+    worker count.  Without write each report is dropped once folded, so the
+    campaign holds no more than the stream's window.  check_theorem and
     graphs_in_class are looked up in this module when the campaign runs.
     """
     start = time.perf_counter()
@@ -239,18 +274,22 @@ def run_verify_campaign(
     summary = CampaignSummary(f"verify:{theorem}", cls, n_lo, n_hi)
     check = partial(check_theorem, theorem, tolerance=tolerance)
     # every order is checked before the first level is built
-    levels = [(n, graphs_in_class(cls, n)) for n in range(n_lo, n_hi + 1)]
-    reports = [r for _, _, level in sweep(check, levels, jobs) for r in level]
-    summary.graphs_examined = len(reports)
-    for r in reports:
-        if not (r.holds and r.consistent):
-            summary.violations.append(r.to_dict())
-        if r.equality_lower:
-            summary.eq_lower_witnesses.setdefault(r.n, []).append(r.graph6)
-        if r.equality_upper:
-            summary.eq_upper_witnesses.setdefault(r.n, []).append(r.graph6)
+    levels = [graphs_in_class(cls, n) for n in range(n_lo, n_hi + 1)]
+
+    def folded():
+        for _, r in sweep(check, chain.from_iterable(levels), jobs):
+            summary.graphs_examined += 1
+            if not (r.holds and r.consistent):
+                summary.violations.append(r.to_dict())
+            if r.equality_lower:
+                summary.eq_lower_witnesses.setdefault(r.n, []).append(r.graph6)
+            if r.equality_upper:
+                summary.eq_upper_witnesses.setdefault(r.n, []).append(r.graph6)
+            yield r
+
+    (write or deque(maxlen=0).extend)(folded())
     summary.wall_time = time.perf_counter() - start
-    return summary, reports
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +338,31 @@ def cmd_compute(args) -> int:
                 for t in iv.per_edge
             ]
         results.append(entry)
-    if args.format == "json":
-        _write_text(args.out, json.dumps({"tool": _TOOL, "results": results}, indent=2, sort_keys=True))
-    else:
-        lines = []
-        for entry in results:
-            lines.append(
-                f"{entry['input']}: graph6={entry['graph6']} n={entry['n']} m={entry['m']} "
-                f"class={entry['class']} maxdeg={entry['max_degree']} mindeg={entry['min_degree']}"
-            )
-            lines.append(f"  HSO = {entry['hso']!r}")
-            lines.append(f"  SO  = {entry['so']!r}")
-            for t in entry.get("per_edge", []):
-                lines.append(
-                    f"  edge ({t['u']}, {t['v']}) degrees ({t['du']}, {t['dv']}) -> {t['value']!r}"
-                )
-        _write_text(args.out, "\n".join(lines))
+    with _output(args.out) as fh:
+        if args.format == "json":
+            _write_json(fh, {}, "results", results)
+        else:
+            for entry in results:
+                print(f"{entry['input']}: graph6={entry['graph6']} n={entry['n']} m={entry['m']} "
+                      f"class={entry['class']} maxdeg={entry['max_degree']} "
+                      f"mindeg={entry['min_degree']}", file=fh)
+                print(f"  HSO = {entry['hso']!r}", file=fh)
+                print(f"  SO  = {entry['so']!r}", file=fh)
+                for t in entry.get("per_edge", []):
+                    print(f"  edge ({t['u']}, {t['v']}) degrees ({t['du']}, {t['dv']}) -> "
+                          f"{t['value']!r}", file=fh)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     n_lo, n_hi = args.n
-    summary, reports = run_verify_campaign(
+    meta = {"check": args.check, "tolerance": args.tolerance, "n": f"{n_lo}..{n_hi}"}
+
+    def write(reports):
+        with _output(args.out) as fh:
+            _write_reports(fh, reports, args.format, meta)
+
+    summary = run_verify_campaign(
         args.check,
         n_lo,
         n_hi,
@@ -328,11 +370,8 @@ def cmd_verify(args) -> int:
         tolerance=args.tolerance,
         jobs=args.jobs,
         allow_large=args.allow_large,
+        write=write if args.out or args.format != "text" else None,
     )
-    meta = {"check": args.check, "tolerance": args.tolerance, "n": f"{n_lo}..{n_hi}"}
-    if args.out or args.format != "text":
-        with _output(args.out) as fh:
-            _write_reports(fh, reports, args.format, meta)
     print(
         f"{summary.label}: examined {summary.graphs_examined} graphs, "
         f"{len(summary.violations)} violations, {summary.wall_time:.2f}s",
@@ -375,13 +414,10 @@ def cmd_monotonicity(args) -> int:
 def cmd_conjecture(args) -> int:
     n_lo, n_hi = args.n
     _check_large("connected", n_hi, args.allow_large)
-    exit_code = EXIT_OK
     summaries = []
     for summary in conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs):
         n = summary.n_lo
         summaries.append(summary)
-        if summary.violations:
-            exit_code = EXIT_COUNTEREXAMPLE
         print(
             f"conjecture n={n}: maximizer {summary.extremal_max[n][0]} "
             f"value={summary.extremal_max[n][1]!r} "
@@ -395,7 +431,7 @@ def cmd_conjecture(args) -> int:
                 fh.write("\n")  # a blank line between two orders' tables
             meta = {"check": "conjecture-star-max", "tolerance": args.tolerance, "n": summary.n_lo}
             _write_summary(fh, summary, args.format, meta)
-    return exit_code
+    return EXIT_COUNTEREXAMPLE if any(s.violations for s in summaries) else EXIT_OK
 
 
 def cmd_extremal_table(args) -> int:

@@ -4,15 +4,17 @@ Three searches live here: the edge-addition monotonicity hunt (adding an
 edge can lower HSO, and the witnesses prove it), the conjecture sweep that
 reports the star-max theorem of verify.THEOREMS order by order, and the
 per-order extremal tables cross-checked against the characterized families.
+Each one maps sweep over the chained stream of its orders and folds each
+result as it comes, so none holds a whole level; g.n tells the orders apart.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, groupby, islice
 from operator import attrgetter, itemgetter
 
 from .families import _EXTREMES, is_member
@@ -22,6 +24,12 @@ from .enumeration import connected_graphs, graphs_in_class
 from .verify import DEFAULT_TOLERANCE, THEOREMS, check_theorem
 
 MONOTONICITY_MAX_N = 8
+
+# A pooled sweep sends its workers slices of SLICE graphs, SLICES_PER_JOB per worker ahead.
+# Smaller or larger slices, or fewer or more of them, ran no faster at n = 8 and 9 with
+# two workers, and the window sets the pooled run's peak memory.
+SLICE = 1024
+SLICES_PER_JOB = 2
 
 
 @dataclass
@@ -83,26 +91,30 @@ class CampaignSummary:
         }
 
 
-def sweep(fn, levels, jobs: int = 1):
-    """Yield (n, graphs, [fn(g) for g in graphs]) for each (n, stream) in levels.
+def sweep(fn, stream, jobs: int = 1):
+    """Yield (g, fn(g)) for each graph g of stream, in stream order.
 
-    With several jobs one worker pool serves every level; each level goes to
-    the workers in contiguous chunks and comes back in stream order, so fn
-    must pickle: a module-level function or a functools.partial of one.
+    Serially this is a lazy map.  With several jobs one worker pool takes the
+    stream in slices of SLICE graphs and keeps at most SLICES_PER_JOB * jobs
+    of them in flight, so a sweep holds a bounded window of the stream
+    however long it is.  fn must pickle: a module-level function or a
+    functools.partial of one.
     """
-    pool = None
-    if jobs > 1:
-        import multiprocessing  # only pooled runs pay for the import
+    if jobs <= 1:
+        for g in stream:
+            yield g, fn(g)
+        return
+    import multiprocessing  # only pooled runs pay for the import
 
-        pool = multiprocessing.Pool(jobs)
-    with pool or contextlib.nullcontext():
-        for n, stream in levels:
-            graphs = list(stream)
-            if pool is None:
-                values = [fn(g) for g in graphs]
-            else:
-                values = pool.map(fn, graphs, chunksize=math.ceil(len(graphs) / jobs))
-            yield n, graphs, values
+    stream = iter(stream)
+    with multiprocessing.Pool(jobs) as pool:
+        tasks = ((chunk, pool.map_async(fn, chunk, chunksize=len(chunk)))
+                 for chunk in iter(lambda: list(islice(stream, SLICE)), []))
+        pending = deque(islice(tasks, SLICES_PER_JOB * jobs))
+        while pending:
+            chunk, values = pending.popleft()
+            pending.extend(islice(tasks, 1))
+            yield from zip(chunk, values.get())
 
 
 def _hso_value(g) -> float:
@@ -139,9 +151,9 @@ def find_monotonicity_counterexamples(
         raise OrderTooLargeError(
             f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}"
         )
-    levels = ((n, connected_graphs(n)) for n in range(3, n_max + 1))
+    stream = chain.from_iterable(connected_graphs(n) for n in range(3, n_max + 1))
     drops = partial(_edge_drops, tolerance=tolerance)
-    witnesses = [w for _, _, found in sweep(drops, levels, jobs) for ws in found for w in ws]
+    witnesses = [w for _, found in sweep(drops, stream, jobs) for w in found]
     # graph6 strings sort exactly like (n, canonical code): the header byte
     # grows with n and body characters compare like the packed bit string
     witnesses.sort(key=lambda w: (w.graph6_before, w.added_edge))
@@ -166,17 +178,21 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     if n_lo < min_n:
         raise OrderTooLargeError(f"conjecture sweep needs n >= {min_n}")
     # every order is checked before the first level is built
-    levels = [(n, connected_graphs(n)) for n in range(n_lo, n_hi + 1)]
+    levels = [connected_graphs(n) for n in range(n_lo, n_hi + 1)]
     check = partial(check_theorem, "star-max", tolerance=tolerance)
     start = time.perf_counter()
-    for n, _, reports in sweep(check, levels, jobs):
-        summary = CampaignSummary("search:conjecture", "connected", n, n,
-                                  graphs_examined=len(reports))
-        summary.violations = [{"graph6": r.graph6, "value": r.value, "star_value": r.bound_upper,
-                               "reason": "inconsistent" if r.holds else "exceeds"}
-                              for r in reports if not (r.holds and r.consistent)]
-        # max keeps the first greatest report, in stream order
-        best = max(reports, key=attrgetter("value"))
+    results = sweep(check, chain.from_iterable(levels), jobs)
+    for n, level in groupby(results, key=lambda result: result[0].n):
+        summary = CampaignSummary("search:conjecture", "connected", n, n)
+        best = None
+        for _, r in level:
+            summary.graphs_examined += 1
+            if not (r.holds and r.consistent):
+                summary.violations.append({"graph6": r.graph6, "value": r.value,
+                                           "star_value": r.bound_upper,
+                                           "reason": "inconsistent" if r.holds else "exceeds"})
+            # max keeps the first greatest report, in stream order
+            best = max(best or r, r, key=attrgetter("value"))
         summary.extremal_max[n] = (best.graph6, best.value)
         summary.details["star_value"] = best.bound_upper
         # star-max bounds only the upper side, so any structural tag is the star
@@ -206,11 +222,15 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     (min_kinds, _, _), (max_kinds, _, _) = _EXTREMES[graph_class]
     start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
-    levels = [(n, graphs_in_class(graph_class, n)) for n in range(n_lo, n_hi + 1)]
-    for n, graphs, values in sweep(_hso_value, levels, jobs):
-        summary.graphs_examined += len(graphs)
-        pairs = list(zip(graphs, values))
-        lo, hi = min(pairs, key=itemgetter(1)), max(pairs, key=itemgetter(1))
+    levels = [graphs_in_class(graph_class, n) for n in range(n_lo, n_hi + 1)]
+    results = sweep(_hso_value, chain.from_iterable(levels), jobs)
+    for n, level in groupby(results, key=lambda result: result[0].n):
+        lo = hi = None
+        for result in level:
+            summary.graphs_examined += 1
+            # min and max keep the first least and greatest (g, value), in stream order
+            lo = min(lo or result, result, key=itemgetter(1))
+            hi = max(hi or result, result, key=itemgetter(1))
         for side, (g, value), kinds, table in (
             ("min", lo, min_kinds, summary.extremal_min),
             ("max", hi, max_kinds, summary.extremal_max),

@@ -112,7 +112,7 @@ def test_criterion_1_closed_form_agreement():
 def test_criterion_2_tree_theorem():
     with _Criterion(2, 60, "tree bounds exhaustive 3 <= n <= 10 with unique witnesses"):
         for n in range(3, 11):
-            summary, reports = run_verify_campaign("tree-bounds", n, n)
+            summary = run_verify_campaign("tree-bounds", n, n)
             assert summary.graphs_examined == TREE_COUNTS[n]
             assert summary.graphs_examined == oracles.tree_count(n)
             if n <= 7:
@@ -132,7 +132,8 @@ def test_criterion_2_tree_theorem():
 def test_criterion_3_unicyclic_theorem():
     with _Criterion(3, 120, "unicyclic bounds exhaustive 3 <= n <= 10"):
         for n in range(3, 11):
-            summary, reports = run_verify_campaign("unicyclic-bounds", n, n)
+            reports = []
+            summary = run_verify_campaign("unicyclic-bounds", n, n, write=reports.extend)
             assert summary.graphs_examined == oracles.unicyclic_count(n)
             assert not summary.violations
             cycle_code = canonical_form(build(cycle(n)))
@@ -153,8 +154,8 @@ def test_criterion_3_unicyclic_theorem():
 def test_criterion_4_bicyclic_theorems():
     with _Criterion(4, 600, "bicyclic bounds exhaustive 4 <= n <= 10 with exact witnesses"):
         for n in range(4, 11):
-            lo_summary, _ = run_verify_campaign("bicyclic-lower", n, n)
-            hi_summary, _ = run_verify_campaign("bicyclic-upper", n, n)
+            lo_summary = run_verify_campaign("bicyclic-lower", n, n)
+            hi_summary = run_verify_campaign("bicyclic-upper", n, n)
             expected_count = oracles.bicyclic_count(n)
             assert lo_summary.graphs_examined == expected_count
             assert hi_summary.graphs_examined == expected_count

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from hsograph import cli, enumeration, verify
+from hsograph import cli, enumeration, search, verify
 from hsograph.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -388,7 +389,8 @@ class TestDeterminismAndParallel:
         assert a.read_bytes() == b.read_bytes()
 
     def test_campaign_api_matches_cli_counts(self):
-        summary, reports = run_verify_campaign("tree-bounds", 3, 7)
+        reports = []
+        summary = run_verify_campaign("tree-bounds", 3, 7, write=reports.extend)
         assert summary.graphs_examined == 1 + 2 + 3 + 6 + 11
         assert len(reports) == summary.graphs_examined
         assert not summary.violations
@@ -404,7 +406,8 @@ class TestDeterminismAndParallel:
         monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
 
         def verify(jobs):
-            summary, reports = run_verify_campaign("sandwich", 2, 6, jobs=jobs)
+            reports = []
+            summary = run_verify_campaign("sandwich", 2, 6, jobs=jobs, write=reports.extend)
             return summary.to_dict(), reports
 
         def table(jobs):
@@ -425,6 +428,85 @@ class TestDeterminismAndParallel:
             assert opened == []
             assert campaign(2) == serial
             assert opened == [(2,)]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv, shown", [
+        ((), ["--version", "{compute,verify,search,enumerate}"]),
+        (("compute",), ["--out OUT", "--file FILE", "--per-edge", "--format {text,json}", "[input]"]),
+        (("verify",), ["{" + ",".join([*verify.THEOREMS, "f-monotone"]) + "}"]),
+        (("verify", "sandwich"), ["--n N", "--tolerance TOLERANCE", "--jobs JOBS",
+                                  "--format {text,csv,json}", "--out OUT", "--allow-large",
+                                  "narrow a check stated over connected graphs"]),
+        (("verify", "f-monotone"), ["--n N", "--format {text,csv,json}", "--out OUT"]),
+        (("search",), ["{monotonicity,conjecture,extremal-table}"]),
+        (("search", "monotonicity"), ["--n-max N_MAX", "--target-delta TARGET_DELTA"]),
+        (("search", "extremal-table"), ["--class {tree,unicyclic,bicyclic,connected}"]),
+        (("enumerate",), ["--edges EDGES", "--class {tree,unicyclic,bicyclic,connected}"]),
+    ])
+    def test_each_parser_shows_its_own_arguments(self, argv, shown, monkeypatch, capsys):
+        # subparsers get their arguments when they parse, which comes before --help
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--help")
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {' '.join(('hsograph', *argv))} [-h]")
+        for text in shown:
+            assert text in out
+
+    def test_help_before_any_parse_shows_the_arguments(self):
+        parser = cli._Parser(prog="p")
+        parser.add_argument("--alpha", help="first")
+        assert "--alpha ALPHA  first" in parser.format_help()
+        assert parser.parse_args(["--alpha", "1"]).alpha == "1"
+
+
+class TestStreamedCampaign:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_writer_gets_reports_while_the_stream_is_drawn(self, jobs, monkeypatch):
+        # each order's stream is its level repeated to 2,000 graphs, 8,000 in all:
+        # more than a pooled sweep's window at two jobs
+        drawn = []
+
+        def instrumented(cls, n):
+            level = list(enumeration.graphs_in_class(cls, n))
+            for i in range(2000):
+                drawn.append(n)
+                yield level[i % len(level)]
+
+        monkeypatch.setattr(cli, "graphs_in_class", instrumented)
+        window = 1 if jobs == 1 else (search.SLICES_PER_JOB * jobs + 1) * search.SLICE
+        seen = []
+
+        def write(reports):
+            for r in reports:
+                if not seen:
+                    assert len(drawn) < 8000
+                seen.append(r.n)
+                assert len(drawn) - len(seen) <= window
+
+        summary = run_verify_campaign("sandwich", 3, 6, jobs=jobs, write=write)
+        assert summary.graphs_examined == len(seen) == len(drawn) == 8000
+        assert seen == drawn
+        assert not summary.violations
+
+    def test_campaign_without_writer_runs_to_the_end(self):
+        summary = run_verify_campaign("sandwich", 2, 6, jobs=2)
+        assert summary.graphs_examined == 1 + 2 + 6 + 21 + 112
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_json_writer_bytes(self, count):
+        graphs = list(enumeration.connected_graphs(5))[:count]
+        reports = [verify.check_theorem("sandwich", g) for g in graphs]
+        witnesses = find_monotonicity_counterexamples(5)[:count]
+        meta = {"check": "sandwich", "tolerance": 1e-9, "n": "5..5"}
+        for write, key, items in ((cli._write_reports, "reports", reports),
+                                  (cli._write_witnesses, "witnesses", witnesses)):
+            fh = io.StringIO()
+            write(fh, iter(items), "json", meta)
+            doc = {"tool": cli._TOOL, **meta, key: [item.to_dict() for item in items]}
+            assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestSubprocessEntry:

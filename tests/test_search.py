@@ -6,14 +6,17 @@ import math
 
 import pytest
 
-from hsograph import verify
+from hsograph import search, verify
+from hsograph.enumeration import connected_graphs
 from hsograph.families import build, closed_form_hso, cycle, is_member, path, sdprime, sprime, star
-from hsograph.graph import OrderTooLargeError, canonical_form, parse_graph6
+from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list, parse_graph6
+from hsograph.indices import hso
 from hsograph.search import (
     check_conjecture_star_max,
     extremal_table,
     find_monotonicity_counterexamples,
     revalidate_witness,
+    sweep,
     witnesses_with_delta,
 )
 
@@ -183,3 +186,89 @@ class TestExtremalTable:
         a = check_conjecture_star_max(6, jobs=1).to_dict()
         b = check_conjecture_star_max(6, jobs=2).to_dict()
         assert a == b
+
+
+def stream_window(jobs):
+    """How many graphs a sweep may draw beyond those it has yielded."""
+    return 1 if jobs == 1 else (search.SLICES_PER_JOB * jobs + 1) * search.SLICE
+
+
+class Drawn:
+    """A stream of the given graphs that counts how many have been drawn."""
+
+    def __init__(self):
+        self.count = 0
+
+    def stream(self, graphs):
+        for g in graphs:
+            self.count += 1
+            yield g
+
+
+class TestSweepStreams:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_yields_within_a_bounded_window(self, jobs):
+        level = list(connected_graphs(5))
+        total = stream_window(2) + 3 * search.SLICE
+        graphs = [level[i % len(level)] for i in range(total)]
+        drawn = Drawn()
+        results = []
+        for g, value in sweep(search._hso_value, drawn.stream(graphs), jobs):
+            if not results:
+                # the first result comes before the stream's last graph is drawn
+                assert drawn.count < total
+            results.append((g, value))
+            assert drawn.count - len(results) <= stream_window(jobs)
+        assert drawn.count == total
+        assert [g for g, _ in results] == graphs
+        assert [value for _, value in results] == [hso(g).hso for g in graphs]
+
+    def test_empty_stream(self):
+        assert list(sweep(search._hso_value, iter([]), 1)) == []
+        assert list(sweep(search._hso_value, iter([]), 2)) == []
+
+
+def relabeled(n, edges, perm):
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestRunningExtremes:
+    """The streamed folds keep the first graph of a tie, as min and max do."""
+
+    PATH5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    STAR5 = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    SPIDER5 = [(0, 1), (0, 2), (0, 3), (3, 4)]
+
+    def tied(self):
+        """Two labelings each of P5 and K1,4, with the larger graph6 first in
+        each tie, so that the first tie is not the least graph6."""
+        paths = sorted((relabeled(5, self.PATH5, p) for p in ([0, 1, 2, 3, 4], [2, 0, 3, 4, 1])),
+                       key=lambda g: g.to_graph6(), reverse=True)
+        stars = sorted((relabeled(5, self.STAR5, p) for p in ([0, 1, 2, 3, 4], [4, 0, 1, 2, 3])),
+                       key=lambda g: g.to_graph6(), reverse=True)
+        assert paths[0].to_graph6() != paths[1].to_graph6()
+        assert stars[0].to_graph6() != stars[1].to_graph6()
+        assert hso(paths[0]).hso == hso(paths[1]).hso
+        assert hso(stars[0]).hso == hso(stars[1]).hso
+        spider = from_edge_list(5, self.SPIDER5)
+        return [spider, paths[0], stars[0], paths[1], spider, stars[1]], paths[0], stars[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_extremal_table_keeps_the_first_tie(self, jobs, monkeypatch):
+        graphs, first_path, first_star = self.tied()
+        drawn = Drawn()
+        monkeypatch.setattr(search, "graphs_in_class", lambda cls, n: drawn.stream(graphs))
+        summary = extremal_table("tree", 5, 5, jobs=jobs)
+        assert summary.graphs_examined == len(graphs) == drawn.count
+        assert summary.extremal_min[5] == (first_path.to_graph6(), hso(first_path).hso)
+        assert summary.extremal_max[5] == (first_star.to_graph6(), hso(first_star).hso)
+        assert not summary.violations
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_conjecture_keeps_the_first_greatest(self, jobs, monkeypatch):
+        graphs, _, first_star = self.tied()
+        monkeypatch.setattr(search, "connected_graphs", lambda n: iter(graphs))
+        summary = check_conjecture_star_max(5, jobs=jobs)
+        assert summary.graphs_examined == len(graphs)
+        assert summary.extremal_max[5] == (first_star.to_graph6(), hso(first_star).hso)
+        assert summary.details["maximizer_is_star"]
