@@ -1,5 +1,8 @@
 """Command-line front end: compute, verify, search, enumerate.
 
+build_parser makes one plain argparse subparser per command and per check or
+search kind, each taking only the options its command reads.
+
 Exit codes: 0 clean, 1 theorem violation or inconsistency, 2 usage or I/O
 error, 3 conjecture counterexample found.  Output files embed a header with
 the tool version, tolerance and check identifier; rows are sorted so that
@@ -26,7 +29,9 @@ from .families import InvalidParametersError, build, parse_family
 from .graph import CLASSES, Graph, GraphError, parse_graph6
 from .indices import hso
 from .search import (
+    MONOTONICITY_MAX_N,
     CampaignSummary,
+    MonotonicityWitness,
     conjecture_sweep,
     extremal_table,
     find_monotonicity_counterexamples,
@@ -57,33 +62,11 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Options are spelled in full, and a parse error raises UsageError, so
-    main() reports it like every other usage error.
-
-    add_argument only records its call; the arguments are added when the
-    parser first parses or formats its help, so a run adds the arguments of
-    its own command only.  argparse's subparsers action reaches the chosen
-    subparser through its parse_known_args.
-    """
+    main() reports it like every other usage error.  Subparsers are made of
+    this class too."""
 
     def __init__(self, **kwargs):
-        self._waiting = []
         super().__init__(allow_abbrev=False, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        self._waiting.append((args, kwargs))
-
-    def _add_waiting(self):
-        waiting, self._waiting = self._waiting, []
-        for args, kwargs in waiting:
-            super().add_argument(*args, **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_waiting()
-        return super().parse_known_args(args, namespace)
-
-    def format_help(self):
-        self._add_waiting()
-        return super().format_help()
 
     def error(self, message):
         raise UsageError(message)
@@ -177,38 +160,18 @@ def _write_json(fh, meta: dict, key: str, items):
     fh.write(("]" if empty else "\n  ]") + tail + "\n")
 
 
-def _write_reports(fh, reports, fmt: str, meta: dict):
+def _write_items(fh, items, fmt: str, meta: dict, key: str, columns):
+    """Reports or witnesses in fmt: each item's to_dict in the JSON list under
+    key, its csv_row under the CSV header columns, or its text_line under the
+    header line."""
     if fmt == "json":
-        _write_json(fh, meta, "reports", (r.to_dict() for r in reports))
+        _write_json(fh, meta, key, (item.to_dict() for item in items))
     elif fmt == "csv":
-        _write_csv(fh, meta, CSV_COLUMNS, (r.csv_row() for r in reports))
+        _write_csv(fh, meta, columns, (item.csv_row() for item in items))
     else:
         print(_header_lines(meta), file=fh)
-        for r in reports:
-            print(
-                f"{r.theorem} {r.graph6} value={r.value!r} lower={r.bound_lower!r} "
-                f"upper={r.bound_upper!r} eq_lower={r.equality_lower} "
-                f"eq_upper={r.equality_upper} class={r.structural_class} "
-                f"consistent={r.consistent} holds={r.holds}",
-                file=fh,
-            )
-
-
-def _write_witnesses(fh, witnesses, fmt: str, meta: dict):
-    if fmt == "json":
-        _write_json(fh, meta, "witnesses", (w.to_dict() for w in witnesses))
-    elif fmt == "csv":
-        header = ["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta"]
-        _write_csv(fh, meta, header, (
-            [w.graph6_before, w.graph6_after, w.added_edge[0], w.added_edge[1],
-             repr(w.hso_before), repr(w.hso_after), repr(w.delta)]
-            for w in witnesses
-        ))
-    else:
-        # two-column interchange format: before after
-        print(_header_lines(meta), file=fh)
-        for w in witnesses:
-            print(w.pair_line(), file=fh)
+        for item in items:
+            print(item.text_line(), file=fh)
 
 
 def _write_summary(fh, summary: CampaignSummary, fmt: str, meta: dict):
@@ -360,7 +323,7 @@ def cmd_verify(args) -> int:
 
     def write(reports):
         with _output(args.out) as fh:
-            _write_reports(fh, reports, args.format, meta)
+            _write_items(fh, reports, args.format, meta, "reports", CSV_COLUMNS)
 
     summary = run_verify_campaign(
         args.check,
@@ -391,7 +354,7 @@ def cmd_f_monotone(args) -> int:
     meta = {"check": "f-monotone", "tolerance": DEFAULT_TOLERANCE, "n": f"{n_lo}..{n_hi}"}
     if args.out or args.format != "text":
         with _output(args.out) as fh:
-            _write_reports(fh, [], args.format, meta)
+            _write_items(fh, [], args.format, meta, "reports", CSV_COLUMNS)
     print(
         f"verify:f-monotone: examined {n_hi - n_lo + 1} orders, "
         f"{len(failed)} violations, {time.perf_counter() - start:.2f}s",
@@ -401,12 +364,15 @@ def cmd_f_monotone(args) -> int:
 
 
 def cmd_monotonicity(args) -> int:
+    if args.n_max < 3:
+        raise UsageError(f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}")
     witnesses = find_monotonicity_counterexamples(args.n_max, args.tolerance, args.jobs)
     if args.target_delta is not None:
         witnesses = witnesses_with_delta(witnesses, args.target_delta, args.tolerance)
     meta = {"check": "monotonicity", "tolerance": args.tolerance, "n_max": args.n_max}
     with _output(args.out) as fh:
-        _write_witnesses(fh, witnesses, args.format, meta)
+        _write_items(fh, witnesses, args.format, meta, "witnesses",
+                     MonotonicityWitness.CSV_COLUMNS)
     print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
     return EXIT_OK
 
@@ -414,6 +380,9 @@ def cmd_monotonicity(args) -> int:
 def cmd_conjecture(args) -> int:
     n_lo, n_hi = args.n
     _check_large("connected", n_hi, args.allow_large)
+    min_n = THEOREMS["star-max"].min_n
+    if n_lo < min_n:
+        raise UsageError(f"conjecture sweep needs n >= {min_n}")
     summaries = []
     for summary in conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs):
         n = summary.n_lo

@@ -21,7 +21,7 @@ from .families import _EXTREMES, is_member
 from .graph import OrderTooLargeError, parse_graph6
 from .indices import hso
 from .enumeration import connected_graphs, graphs_in_class
-from .verify import DEFAULT_TOLERANCE, THEOREMS, check_theorem
+from .verify import DEFAULT_TOLERANCE, THEOREMS, OrderTooSmallError, check_theorem
 
 MONOTONICITY_MAX_N = 8
 
@@ -35,6 +35,8 @@ SLICES_PER_JOB = 2
 @dataclass
 class MonotonicityWitness:
     """A connected graph plus an edge whose insertion lowers HSO."""
+
+    CSV_COLUMNS = ("graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta")
 
     graph6_before: str
     graph6_after: str
@@ -53,7 +55,12 @@ class MonotonicityWitness:
             "delta": self.delta,
         }
 
-    def pair_line(self) -> str:
+    def csv_row(self) -> list:
+        return [self.graph6_before, self.graph6_after, *self.added_edge,
+                repr(self.hso_before), repr(self.hso_after), repr(self.delta)]
+
+    def text_line(self) -> str:
+        # two-column interchange format: before after
         return f"{self.graph6_before} {self.graph6_after}"
 
 
@@ -148,9 +155,8 @@ def find_monotonicity_counterexamples(
     by removing the recorded edge.
     """
     if not 3 <= n_max <= MONOTONICITY_MAX_N:
-        raise OrderTooLargeError(
-            f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}"
-        )
+        error = OrderTooSmallError if n_max < 3 else OrderTooLargeError
+        raise error(f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}")
     stream = chain.from_iterable(connected_graphs(n) for n in range(3, n_max + 1))
     drops = partial(_edge_drops, tolerance=tolerance)
     witnesses = [w for _, found in sweep(drops, stream, jobs) for w in found]
@@ -176,7 +182,7 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     """
     min_n = THEOREMS["star-max"].min_n
     if n_lo < min_n:
-        raise OrderTooLargeError(f"conjecture sweep needs n >= {min_n}")
+        raise OrderTooSmallError(f"conjecture sweep needs n >= {min_n}")
     # every order is checked before the first level is built
     levels = [connected_graphs(n) for n in range(n_lo, n_hi + 1)]
     check = partial(check_theorem, "star-max", tolerance=tolerance)

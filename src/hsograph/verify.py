@@ -117,6 +117,12 @@ class TheoremReport:
             int(self.consistent),
         ]
 
+    def text_line(self) -> str:
+        return (f"{self.theorem} {self.graph6} value={self.value!r} lower={self.bound_lower!r} "
+                f"upper={self.bound_upper!r} eq_lower={self.equality_lower} "
+                f"eq_upper={self.equality_upper} class={self.structural_class} "
+                f"consistent={self.consistent} holds={self.holds}")
+
 
 def _slack(bound: float, tolerance: float) -> float:
     return tolerance * max(1.0, abs(bound))

@@ -198,6 +198,9 @@ class TestErrorExits:
          "no connected graph on 1 vertex has 1 edge"),
         (("search", "extremal-table", "--class", "bicyclic", "--n", "3..6"),
          "no connected graph on 3 vertices has 4 edges"),
+        (("search", "conjecture", "--n", "1..3"), "conjecture sweep needs n >= 2"),
+        (("search", "monotonicity", "--n-max", "2"),
+         "monotonicity search supports 3 <= n_max <= 8"),
     ])
     def test_order_below_floor_fails_before_any_work(self, argv, message, no_work, capsys):
         # the bottom order is below its class floor: no level is built
@@ -445,7 +448,7 @@ class TestHelp:
         (("enumerate",), ["--edges EDGES", "--class {tree,unicyclic,bicyclic,connected}"]),
     ])
     def test_each_parser_shows_its_own_arguments(self, argv, shown, monkeypatch, capsys):
-        # subparsers get their arguments when they parse, which comes before --help
+        # each parser's help lists the options of its own command
         monkeypatch.setenv("COLUMNS", "400")
         with pytest.raises(SystemExit) as exit_info:
             run_cli(*argv, "--help")
@@ -497,16 +500,45 @@ class TestStreamedCampaign:
 
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_json_writer_bytes(self, count):
+        # the one writer in each format against a reference built here: with
+        # no items only the header lines remain, as verify f-monotone writes
         graphs = list(enumeration.connected_graphs(5))[:count]
         reports = [verify.check_theorem("sandwich", g) for g in graphs]
         witnesses = find_monotonicity_counterexamples(5)[:count]
+        assert len(reports) == len(witnesses) == count
         meta = {"check": "sandwich", "tolerance": 1e-9, "n": "5..5"}
-        for write, key, items in ((cli._write_reports, "reports", reports),
-                                  (cli._write_witnesses, "witnesses", witnesses)):
-            fh = io.StringIO()
-            write(fh, iter(items), "json", meta)
+        header = f"# {cli._TOOL} check=sandwich tolerance=1e-09 n=5..5\n"
+        # the sandwich bounds both sides, so no bound cell is empty
+        report_table = [["theorem", "graph6", "value", "lower", "upper", "eq_lower", "eq_upper",
+                         "structural_class", "consistent"]] + [
+            [r.theorem, r.graph6, repr(r.value), repr(r.bound_lower), repr(r.bound_upper),
+             int(r.equality_lower), int(r.equality_upper), r.structural_class, int(r.consistent)]
+            for r in reports]
+        witness_table = [["graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after",
+                          "delta"]] + [
+            [w.graph6_before, w.graph6_after, *w.added_edge, repr(w.hso_before),
+             repr(w.hso_after), repr(w.delta)] for w in witnesses]
+        report_lines = [f"{r.theorem} {r.graph6} value={r.value!r} lower={r.bound_lower!r} "
+                        f"upper={r.bound_upper!r} eq_lower={r.equality_lower} "
+                        f"eq_upper={r.equality_upper} class={r.structural_class} "
+                        f"consistent={r.consistent} holds={r.holds}" for r in reports]
+        witness_lines = [f"{w.graph6_before} {w.graph6_after}" for w in witnesses]
+        for key, columns, items, table, lines in (
+            ("reports", verify.CSV_COLUMNS, reports, report_table, report_lines),
+            ("witnesses", search.MonotonicityWitness.CSV_COLUMNS, witnesses, witness_table,
+             witness_lines),
+        ):
+            def write(fmt):
+                fh = io.StringIO()
+                cli._write_items(fh, iter(items), fmt, meta, key, columns)
+                return fh.getvalue()
+
             doc = {"tool": cli._TOOL, **meta, key: [item.to_dict() for item in items]}
-            assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert write("json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            reference = io.StringIO()
+            csv.writer(reference).writerows(table)
+            assert write("csv") == header + reference.getvalue()
+            assert write("text") == header + "".join(line + "\n" for line in lines)
 
 
 class TestSubprocessEntry:

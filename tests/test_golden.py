@@ -61,6 +61,20 @@ GOLDEN_NOTES = {
         "bd5425d3cac355089e138e9aa1a88a252d788ee0dd01aac810d73163664093fc",
 }
 
+# verify <check> --format text, and search monotonicity in text and CSV:
+# the renderings of the one report and witness writer that the CSV and JSON
+# digests above do not reach (a connected theorem and a class theorem)
+GOLDEN_RENDERINGS = {
+    ("verify", "sandwich", "--n", "3..6", "--format", "text"):
+        "c29c545ea6ec745a4db9efe6ec2f9802dd203cba6f0b3d33ad94deb76253e63c",
+    ("verify", "bicyclic-lower", "--n", "4..8", "--format", "text"):
+        "7ab88dceabe2aa6860c9ff230e5df1f99636f9693460e042149dab4a9bbbcbb2",
+    ("search", "monotonicity", "--n-max", "6", "--format", "text"):
+        "1097dacf997cdd2ffef4236dcc174d41174fc27414e8cad5e468b9c876ee3f6d",
+    ("search", "monotonicity", "--n-max", "6", "--format", "csv"):
+        "353dcecb2c3fc2db39b275c4f6e85dd46b4803404fe7b5e363b8c4dca9ed60e2",
+}
+
 # enumerate: the graph6 streams of the classes the paper's new bounds cover,
 # and the largest default connected and tree levels
 GOLDEN_STREAMS = {
@@ -118,6 +132,12 @@ def test_golden_bytes_with_workers(argv, tmp_path):
 @pytest.mark.parametrize("argv", list(GOLDEN_NOTES), ids=" ".join)
 def test_golden_notes(argv, tmp_path):
     assert _out_digest([*argv, "--format", "json", "--jobs", "1"], tmp_path) == GOLDEN_NOTES[argv]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("argv", list(GOLDEN_RENDERINGS), ids=" ".join)
+def test_golden_renderings(argv, jobs, tmp_path):
+    assert _out_digest([*argv, "--jobs", str(jobs)], tmp_path) == GOLDEN_RENDERINGS[argv]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STREAMS), ids=" ".join)

@@ -66,7 +66,7 @@ class TestMonotonicity:
         assert all(abs(w.delta + 2 * math.sqrt(17) - 2 * math.sqrt(5) - math.sqrt(2)) <= 1e-9 for w in rare)
 
     def test_order_caps(self):
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(verify.OrderTooSmallError):
             find_monotonicity_counterexamples(2)
         with pytest.raises(OrderTooLargeError):
             find_monotonicity_counterexamples(9)
@@ -108,7 +108,7 @@ class TestConjectureSweep:
         assert not summary.details["maximizer_is_star"]
 
     def test_order_caps(self):
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(verify.OrderTooSmallError):
             check_conjecture_star_max(1)
         with pytest.raises(OrderTooLargeError):
             check_conjecture_star_max(10)
