@@ -200,21 +200,22 @@ def is_member(g: Graph, kind: str) -> bool:
     cprime and cdprime stand for every pair of cycle lengths.
     """
     n, m, degs = g.n, g.m, g.degrees
-    top = max(degs)
+    top = g.max_degree
     if kind == "path":
         return m == n - 1 and top <= 2 and g.is_connected()
     if kind == "star":
         return m == n - 1 and top == n - 1
     if kind == "cycle":
-        return n >= 3 and top == 2 == min(degs) and g.is_connected()
+        return n >= 3 and top == 2 == g.min_degree and g.is_connected()
     if kind == "sprime":
         return n >= 3 and m == n and top == n - 1
     if kind == "sdprime":
-        return n >= 4 and m == n + 1 and sorted(degs)[-2:] == [3, n - 1]
+        return n >= 4 and m == n + 1 and top == n - 1 and sorted(degs)[-2] == 3
     if kind in ("cprime", "cdprime"):
-        # degrees {3, 3, 2, ...} with the two 3s adjacent: two cycles sharing
-        # the edge between them (cdprime) or hanging off its two ends (cprime)
-        if sorted(degs) != [2] * (n - 2) + [3, 3] or not g.is_connected():
+        # degrees {3, 3, 2, ...} (all 2 or 3 and m = n + 1) with the two 3s
+        # adjacent: two cycles sharing the edge between them (cdprime) or
+        # hanging off its two ends (cprime)
+        if not (g.min_degree == 2 and top == 3 and m == n + 1) or not g.is_connected():
             return False
         u, v = (w for w in range(n) if degs[w] == 3)
         return g.has_edge(u, v) and g.remove_edge(u, v).is_connected() == (kind == "cdprime")

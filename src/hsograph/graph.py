@@ -8,16 +8,18 @@ n <= 16 for canonical forms).
 
 Graphs are values: every mutating operation returns a fresh Graph and the
 input is never touched, so instances can be shared freely across workers.
-A Graph fills a memo of its graph6 string, its connectivity and its HSO
-(stored by indices.hso) on first use, so every checker of one graph shares
-one computation of each.  The graph6 memo is set as the graph is made where
-its source already says it: parse_graph6 keeps the text it decoded when that
-text is the canonical encoding, and an enumeration stream formats each
-graph's canonical code with _code_graph6.  Any other graph is encoded from
-its rows on the first to_graph6 call.  The memo is never pickled: a graph
-sent to a worker arrives with an empty one.  A graph's canonical code is the
-graph6 body of its canonical relabeling, less padding; _unpack turns either
-back into rows and _code_graph6 turns a code into graph6.
+A Graph's degrees, edge count m, max_degree and min_degree are fields set
+as it is made, from the degrees tuple.  It fills a memo of its graph6
+string, its connectivity and its (HSO, SO) float pair (stored by indices)
+on first use, so every checker of one graph shares one computation of each.
+The graph6 memo is set as the graph is made where its source already says
+it: parse_graph6 keeps the text it decoded when that text is the canonical
+encoding, and an enumeration stream formats each graph's canonical code
+with _code_graph6.  Any other graph is encoded from its rows on the first
+to_graph6 call.  The memo is never pickled: a graph sent to a worker arrives
+with an empty one.  A graph's canonical code is the graph6 body of its
+canonical relabeling, less padding; _unpack turns either back into rows and
+_code_graph6 turns a code into graph6.
 """
 
 from __future__ import annotations
@@ -91,18 +93,25 @@ def _bits(mask):
 
 
 class Graph:
-    """Immutable simple graph; build instances via from_edge_list or parse_graph6."""
+    """Immutable simple graph; build instances via from_edge_list or parse_graph6.
+
+    n, rows, degrees, the edge count m, max_degree and min_degree are plain
+    fields, all set as the graph is made."""
 
     # _graph6, _connected and _hso memoize to_graph6(), is_connected() and
-    # indices.hso()'s (hso, so) pair; None until first asked for
-    __slots__ = ("n", "rows", "degrees", "_graph6", "_connected", "_hso")
+    # the (hso, so) pair of indices; None until first asked for
+    __slots__ = ("n", "rows", "degrees", "m", "max_degree", "min_degree",
+                 "_graph6", "_connected", "_hso")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         # Trusted constructor: rows must already be a symmetric, loop-free
         # adjacency.  The public entry points validate.
         self.n = n
         self.rows = rows
-        self.degrees = tuple(r.bit_count() for r in rows)
+        self.degrees = degrees = tuple(map(int.bit_count, rows))
+        self.m = sum(degrees) // 2
+        self.max_degree = max(degrees)
+        self.min_degree = min(degrees)
         self._graph6 = None
         self._connected = None
         self._hso = None
@@ -118,18 +127,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges())})"
-
-    @property
-    def m(self) -> int:
-        return sum(self.degrees) // 2
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees)
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees)
 
     def _check_vertex(self, v):
         if not 0 <= v < self.n:
@@ -202,8 +199,10 @@ def _sweep_connected(rows) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= rows[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= rows[low.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << len(rows)) - 1

@@ -68,10 +68,16 @@ def edge_term(du: int, dv: int) -> float:
 def hso(g: Graph) -> IndexValue:
     """HSO and SO of g, computed on the first call for g and memoized on it
     as the float pair (an IndexValue would hold g and make a cycle)."""
+    return IndexValue(*_hso_pair(g), g)
+
+
+def _hso_pair(g: Graph) -> tuple[float, float]:
+    """The memoized (HSO, SO) float pair of g, filled by the first call; the
+    checkers read it here rather than through an IndexValue."""
     pair = g._hso
     if pair is None:
         pair = g._hso = _hso_so(g)
-    return IndexValue(*pair, g)
+    return pair
 
 
 def _hso_so(g: Graph) -> tuple[float, float]:
@@ -102,7 +108,7 @@ def _hso_so(g: Graph) -> tuple[float, float]:
 
 def so(g: Graph) -> float:
     """Sombor index: sum of sqrt(du^2 + dv^2) over edges."""
-    return hso(g).so
+    return _hso_pair(g)[1]
 
 
 def edge_term_bounds(du: int, dv: int, max_degree: int) -> tuple[float, float]:

@@ -12,6 +12,11 @@ The class bounds and their equality families come from families._EXTREMES,
 and membership is decided by families.is_member from degrees and
 connectivity, so every checker takes any order that graph6 can carry
 (n <= 62).
+
+Every checker reads per-graph facts that are computed at most once: the
+graph's m, max_degree and min_degree fields, set as it is made, and the
+(HSO, SO) float pair that indices memoizes on it, read without building an
+IndexValue.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache, partial
 
 from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
-from .indices import SQRT2, edge_term, edge_term_bounds, hso
+from .indices import SQRT2, _hso_pair, edge_term, edge_term_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -128,10 +133,6 @@ def _slack(bound: float, tolerance: float) -> float:
     return tolerance * max(1.0, abs(bound))
 
 
-def _close(value: float, bound: float, tolerance: float) -> bool:
-    return abs(value - bound) <= _slack(bound, tolerance)
-
-
 def is_heavy_independent(g: Graph) -> bool:
     """True when g is connected, not regular, and its vertices of degree above
     the minimum form an independent set.
@@ -145,19 +146,25 @@ def is_heavy_independent(g: Graph) -> bool:
     dmin = g.min_degree
     if g.max_degree == dmin:
         return False
-    heavy = [v for v, d in enumerate(g.degrees) if d > dmin]
-    heavy_mask = sum(1 << v for v in heavy)
-    rows = g.rows
-    return not any(rows[v] & heavy_mask for v in heavy)
+    degrees, rows = g.degrees, g.rows
+    heavy = 0
+    for v, d in enumerate(degrees):
+        if d > dmin:
+            heavy |= 1 << v
+    for v, d in enumerate(degrees):
+        if d > dmin and rows[v] & heavy:
+            return False
+    return True
 
 
 def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     """The lower end is attained exactly by regular graphs; the upper end by
     regular graphs and by the heavy-independent class."""
-    iv = hso(g)
-    regular = g.max_degree == g.min_degree
+    value, so = _hso_pair(g)
+    dmax, dmin = g.max_degree, g.min_degree
+    regular = dmax == dmin
     return _bounded_report(
-        theorem, g, iv.hso, iv.so / g.max_degree, iv.so / g.min_degree,
+        theorem, g, value, so / dmax, so / dmin,
         ("regular", regular),
         ("regular" if regular else "heavy-independent", regular or is_heavy_independent(g)),
         tolerance,
@@ -166,17 +173,30 @@ def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
 
 def _bounded_report(theorem, g, value, lower, upper, matches_lower, matches_upper, tolerance):
     """Each matches_* is (structural tag, whether g is in that side's equality
-    class); a side whose bound is None is neither checked nor attained."""
-    eq_lower = lower is not None and _close(value, lower, tolerance)
-    eq_upper = upper is not None and _close(value, upper, tolerance)
-    holds = not (lower is not None and value < lower - _slack(lower, tolerance)
-                 or upper is not None and value > upper + _slack(upper, tolerance))
-    consistent = ((lower is None or eq_lower == matches_lower[1])
-                  and (upper is None or eq_upper == matches_upper[1]))
-    tags = dict.fromkeys(name for name, flag in (matches_lower, matches_upper) if flag)
+    class); a side whose bound is None is neither checked nor attained.  Each
+    bounded side is tested once, with the slack _slack(bound, tolerance)
+    computed inline."""
+    lower_tag, in_lower = matches_lower
+    upper_tag, in_upper = matches_upper
+    holds = consistent = True
+    eq_lower = eq_upper = False
+    if lower is not None:
+        slack = tolerance * max(1.0, abs(lower))
+        eq_lower = abs(value - lower) <= slack
+        holds = not value < lower - slack
+        consistent = eq_lower == in_lower
+    if upper is not None:
+        slack = tolerance * max(1.0, abs(upper))
+        eq_upper = abs(value - upper) <= slack
+        holds = holds and not value > upper + slack
+        consistent = consistent and eq_upper == in_upper
+    if in_lower:
+        tag = lower_tag if not in_upper or upper_tag == lower_tag else f"{lower_tag}+{upper_tag}"
+    else:
+        tag = upper_tag if in_upper else "none"
     return TheoremReport(
         theorem, g.to_graph6(), g.n, value, lower, upper,
-        holds, eq_lower, eq_upper, "+".join(tags) or "none", consistent,
+        holds, eq_lower, eq_upper, tag, consistent,
     )
 
 
@@ -186,9 +206,9 @@ def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     lower, upper = closed_form_bound(theorem, g.n)
     matches = []
     for bound, (kinds, _, _) in zip((lower, upper), _EXTREMES[THEOREMS[theorem].graph_class]):
-        kind = None if bound is None else next(filter(partial(is_member, g), kinds), None)
+        kind = None if bound is None else next((k for k in kinds if is_member(g, k)), None)
         matches.append((kind, kind is not None))
-    report = _bounded_report(theorem, g, hso(g).hso, lower, upper, *matches, tolerance)
+    report = _bounded_report(theorem, g, _hso_pair(g)[0], lower, upper, *matches, tolerance)
     if theorem == "bicyclic-lower" and g.n < 6:
         report.note = "bridged pair needs n >= 6; only merged pairs exist"
     elif theorem == "unicyclic-bounds" and g.n <= 4 and report.equality_upper:
@@ -201,12 +221,12 @@ def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
 
 def _edge_count_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     """Both ends are attained exactly by regular graphs."""
-    dmax, dmin = g.max_degree, g.min_degree
+    dmax, dmin, m = g.max_degree, g.min_degree, g.m
     regular = dmax == dmin
     return _bounded_report(
-        theorem, g, hso(g).hso,
-        (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * g.m,
-        (dmax / dmin + SQRT2 - 1.0) * g.m,
+        theorem, g, _hso_pair(g)[0],
+        (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * m,
+        (dmax / dmin + SQRT2 - 1.0) * m,
         ("regular", regular), ("regular", regular),
         tolerance,
     )
@@ -251,7 +271,7 @@ def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
                 break
         note = f"offending edges: {bad[:4]}"
     return TheoremReport(
-        theorem, g.to_graph6(), g.n, hso(g).hso, None, None,
+        theorem, g.to_graph6(), g.n, _hso_pair(g)[0], None, None,
         "outside" not in kinds,
         any(eq_lower for eq_lower, _, _ in verdicts.values()),
         any(eq_upper for _, eq_upper, _ in verdicts.values()),

@@ -426,3 +426,34 @@ def random_connected_edges(n, rng, chords):
     absent = [frozenset(p) for p in combinations(range(n), 2) if frozenset(p) not in edges]
     edges.update(rng.sample(absent, chords))
     return sorted(tuple(sorted(e)) for e in edges)
+
+
+def random_prufer_edges(n, rng, chords):
+    """Edges of a random connected graph on 0..n-1: the labelled tree of a
+    uniformly random Prüfer sequence under a random relabeling, plus `chords`
+    distinct random non-edges, listed in random order and orientation."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    tree = []
+    for v in seq:
+        leaf = degree.index(1)
+        tree.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    tree.append(tuple(u for u in range(n) if degree[u] == 1))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {frozenset((label[u], label[v])) for u, v in tree}
+    absent = [frozenset(p) for p in combinations(range(n), 2) if frozenset(p) not in edges]
+    edges = [tuple(e) for e in edges] + [tuple(e) for e in rng.sample(absent, chords)]
+    rng.shuffle(edges)
+    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+
+
+def degree_fields(rows):
+    """(edge count, maximum degree, minimum degree) of the graph whose
+    adjacency bitmasks are rows, counted bit by bit."""
+    degrees = [sum(row >> v & 1 for v in range(len(rows))) for row in rows]
+    return sum(degrees) // 2, max(degrees), min(degrees)

@@ -8,6 +8,8 @@ seconds.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from hsograph.families import KINDS, FamilySpec, InvalidParametersError, build, parse_family  # noqa: E402
 from hsograph.graph import (  # noqa: E402
     GRAPH6_MAX_N,
@@ -64,6 +67,22 @@ def test_graph6_round_trip(g):
     wrapped = parse_graph6(">>graph6<<" + text + "\n")
     assert wrapped == g
     assert wrapped._graph6 is None and wrapped.to_graph6() == text
+
+
+@FUZZ
+@given(graphs(), st.data())
+def test_degree_fields(g, data):
+    """m, max_degree and min_degree match the degrees of a graph however it
+    was made: built, parsed, unpickled, or with one edge added or removed."""
+    made = [g, parse_graph6(g.to_graph6()), pickle.loads(pickle.dumps(g))]
+    if g.n >= 2:
+        u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        made.append(g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v))
+    for h in made:
+        degrees = h.degrees
+        assert degrees == tuple(row.bit_count() for row in h.rows)
+        assert (h.m, h.max_degree, h.min_degree) == (sum(degrees) // 2, max(degrees), min(degrees))
+        assert (h.m, h.max_degree, h.min_degree) == oracles.degree_fields(h.rows)
 
 
 @FUZZ

@@ -9,11 +9,16 @@ after an intended output change, run the case and paste the new digest.
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
+import oracles
 from hsograph.cli import EXIT_OK, main
+from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
+from hsograph.graph import from_edge_list, parse_graph6
+from hsograph.verify import THEOREMS, check_theorem
 
 GOLDEN = {
     # verify <check> --format csv: connected checks at n = 3..6 (star-max
@@ -95,6 +100,13 @@ GOLDEN_COMPUTE = {
     "json": "ae99322fa4420c0b63e4a1bf8767bbcdb922be61e6685eac5f92f8bd84a58dba",
 }
 
+# check_theorem on seeded random graphs and the extremal families at
+# n = 10..16, each once as built by from_edge_list and once decoded by
+# parse_graph6: the csv_row, holds and note of every applicable theorem,
+# hashed in order.  The CLI digests above stop at n = 8, and n = 6 for the
+# connected theorems.
+GOLDEN_SAMPLED = "a22e7646cbe708c9ca672503f6004622754e6465a08abf499b161a79df92c5e6"
+
 # the whole output of `compute Bw --per-edge --format json`, also compared
 # byte for byte against the installed console script in CI
 PINNED_BW_PER_EDGE = Path(__file__).parent / "golden" / "compute-Bw-per-edge.json"
@@ -157,3 +169,47 @@ def test_pinned_triangle_per_edge(tmp_path):
     out = tmp_path / "out"
     assert main(["compute", "Bw", "--per-edge", "--format", "json", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == PINNED_BW_PER_EDGE.read_bytes()
+
+
+def _sampled_edge_lists():
+    """Six Prüfer trees with each of 0..6 chords at every n = 10..16, then
+    that order's extremal family members, K_n and the heavy-independent
+    K_{2,n-2}, randomly relabeled."""
+    rng = random.Random(1016)
+    for n in range(10, 17):
+        for chords in range(7):
+            for _ in range(6):
+                yield n, oracles.random_prufer_edges(n, rng, chords)
+        specs = [path(n), star(n), cycle(n), complete(n), sprime(n), sdprime(n), c33(n),
+                 cprime(4, n - 4), cdprime(4, n - 2)]
+        edge_lists = [list(build(spec).edges()) for spec in specs]
+        edge_lists.append([(u, v) for u in (0, 1) for v in range(2, n)])
+        for edges in edge_lists:
+            label = list(range(n))
+            rng.shuffle(label)
+            yield n, [(label[u], label[v]) for u, v in edges]
+
+
+def _sampled_graphs():
+    """Each sampled graph as built by from_edge_list and as decoded from graph6."""
+    for n, edges in _sampled_edge_lists():
+        yield from_edge_list(n, edges)
+        yield parse_graph6(from_edge_list(n, edges).to_graph6())
+
+
+def test_golden_sampled_reports():
+    digest = hashlib.sha256()
+    count = 0
+    for g in _sampled_graphs():
+        graph_class = g.classify()
+        for theorem, record in THEOREMS.items():
+            if record.graph_class in (graph_class, "connected"):
+                r = check_theorem(theorem, g)
+                digest.update(repr((r.csv_row(), r.holds, r.note)).encode())
+                count += 1
+    # five connected theorems on all 728 graphs; the tree theorem on 84
+    # random trees, paths and stars, the unicyclic one on 84 random graphs,
+    # cycles and sprimes, the two bicyclic ones on 84 random graphs,
+    # sdprimes, c33s, cprimes and cdprimes
+    assert count == 5 * 728 + (84 + 28) + (84 + 28) + 2 * (84 + 56)
+    assert digest.hexdigest() == GOLDEN_SAMPLED

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -38,7 +39,7 @@ from hsograph.graph import (
 )
 from hsograph.enumeration import _all_level, _on_demand, connected_graphs, graphs_in_class
 from hsograph.families import build, cycle, sdprime, star
-from hsograph.indices import _hso_so, hso
+from hsograph.indices import _hso_pair, _hso_so, edge_term, hso
 
 import oracles
 
@@ -247,9 +248,18 @@ def _memo(g):
     return g._graph6, g._connected, g._hso
 
 
+def _assert_degree_fields(g):
+    """m, max_degree and min_degree, set as g was made, match its degrees."""
+    degrees = g.degrees
+    assert degrees == tuple(bin(row).count("1") for row in g.rows)
+    assert ((g.m, g.max_degree, g.min_degree) == (sum(degrees) // 2, max(degrees), min(degrees))
+            == oracles.degree_fields(g.rows))
+
+
 class TestMemo:
     """to_graph6, is_connected and hso compute once per graph and keep the
-    result on it; the memo never leaves the graph."""
+    result on it; the memo never leaves the graph.  The degree fields are
+    set as each graph is made, however it is made."""
 
     def test_memo_matches_fresh_computation(self):
         count = 0
@@ -263,6 +273,8 @@ class TestMemo:
                 assert (iv.hso, iv.so) == _hso_so(g) == (hso(fresh).hso, hso(fresh).so)
                 assert iv.graph is g
             assert _memo(g) == _memo(fresh) == (g.to_graph6(), g.is_connected(), _hso_so(g))
+            _assert_degree_fields(g)
+            _assert_degree_fields(parse_graph6(g.to_graph6()))
             count += 1
         assert count == 1252 + 7 * 4
 
@@ -276,6 +288,7 @@ class TestMemo:
             for g in stream:
                 assert g._graph6 is not None
                 assert g.to_graph6() == _encode_graph6(g.rows)
+                _assert_degree_fields(g)
                 count += 1
         # connected to n = 8, then trees, unicyclic and bicyclic graphs to n = 10
         assert count == 12113 + 201 + 1040 + 3803
@@ -286,6 +299,8 @@ class TestMemo:
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g
         assert _memo(copy) == (None, None, None)
+        _assert_degree_fields(copy)
+        assert (copy.m, copy.max_degree, copy.min_degree) == (8, 6, 1)
         assert (copy.to_graph6(), copy.is_connected(), (hso(copy).hso, hso(copy).so)) == filled
 
     def test_removing_a_bridge_disconnects(self):
@@ -293,6 +308,8 @@ class TestMemo:
         assert g.is_connected()
         cut = g.remove_edge(2, 3)
         assert _memo(cut) == (None, None, None)
+        _assert_degree_fields(cut)
+        assert (cut.m, cut.max_degree, cut.min_degree) == (3, 2, 1)
         assert not cut.is_connected()
         assert cut.classify() == DISCONNECTED
         assert g.is_connected()
@@ -302,8 +319,23 @@ class TestMemo:
         assert not g.is_connected() and g.to_graph6() == "C`"
         joined = g.add_edge(1, 2)
         assert _memo(joined) == (None, None, None)
+        _assert_degree_fields(joined)
+        assert (joined.m, joined.max_degree, joined.min_degree) == (3, 2, 1)
         assert joined.is_connected()
         assert joined.to_graph6() == p(4).to_graph6()
+
+    def test_checker_pair_is_the_index_value(self):
+        # the float pair the checkers read is bit for bit the public
+        # IndexValue's and a fresh fsum over the edge terms
+        for g in _memo_graphs():
+            pair = _hso_pair(g)
+            assert pair is _hso_pair(g) is g._hso
+            degs = g.degrees
+            terms = [(degs[u], degs[v]) for u, v in g.edges()]
+            iv = hso(g)
+            assert pair == (iv.hso, iv.so) == (
+                math.fsum(edge_term(du, dv) for du, dv in terms),
+                math.fsum(math.sqrt(du * du + dv * dv) for du, dv in terms))
 
 
 def _random_relabel(g, rng):

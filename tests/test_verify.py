@@ -479,6 +479,25 @@ class TestDispatchAndSweeps:
         # the same reports as a fresh graph per theorem gives
         assert reports == [check_theorem(t, from_edge_list(6, edges)) for t in theorems]
 
+    def test_one_hso_pass_per_graph(self, monkeypatch):
+        # every applicable checker reads the one memoized pair: a tree, a
+        # unicyclic, a bicyclic and a three-chord graph of each order 4..16
+        passes = []
+        compute = indices._hso_so
+        monkeypatch.setattr(indices, "_hso_so", lambda g: passes.append(g) or compute(g))
+        rng = random.Random(20)
+        checked = 0
+        for n in range(4, 17):
+            for chords in range(4):
+                g = from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
+                graph_class = g.classify()
+                for theorem, record in verify.THEOREMS.items():
+                    if record.graph_class in ("connected", graph_class) and n >= record.min_n:
+                        check_theorem(theorem, g)
+                        checked += 1
+                assert len(passes) == 1 and passes.pop() is g
+        assert checked == 13 * (4 * 5 + 1 + 1 + 2)
+
     def test_report_serialization(self):
         r = check_sandwich(build(cycle(4)))
         d = r.to_dict()
