@@ -10,8 +10,9 @@ Graphs are values: every mutating operation returns a fresh Graph and the
 input is never touched, so instances can be shared freely across workers.
 A Graph's degrees, edge count m, max_degree and min_degree are fields set
 as it is made, from the degrees tuple.  It fills a memo of its graph6
-string, its connectivity and its (HSO, SO) float pair (stored by indices)
-on first use, so every checker of one graph shares one computation of each.
+string, its connectivity and its HSO, SO and distinct sorted degree pairs
+(one pass of indices) on first use, so every checker of one graph shares
+one computation of each.
 The graph6 memo is set as the graph is made where its source already says
 it: parse_graph6 keeps the text it decoded when that text is the canonical
 encoding, and an enumeration stream formats each graph's canonical code
@@ -99,7 +100,7 @@ class Graph:
     fields, all set as the graph is made."""
 
     # _graph6, _connected and _hso memoize to_graph6(), is_connected() and
-    # the (hso, so) pair of indices; None until first asked for
+    # the (hso, so, pairs) of indices; None until first asked for
     __slots__ = ("n", "rows", "degrees", "m", "max_degree", "min_degree",
                  "_graph6", "_connected", "_hso")
 

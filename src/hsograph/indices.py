@@ -1,15 +1,18 @@
 """Degree-based indices: hyperbolic Sombor (HSO) and Sombor (SO).
 
 HSO sums sqrt(du^2 + dv^2) / min(du, dv) over edges; SO drops the divisor.
-Sums use math.fsum so closed-form comparisons are not polluted by
-accumulation error.
+One pass over a graph's edges reads each edge's term from a memo keyed by
+its sorted end-degree pair; HSO and SO are math.fsum over those terms, so
+closed-form comparisons are not polluted by accumulation error.  HSO, SO
+and the distinct pairs stay memoized on the graph for every checker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .graph import Graph
 
@@ -62,53 +65,61 @@ def edge_term(du: int, dv: int) -> float:
     """sqrt(du^2 + dv^2) / min(du, dv); symmetric in its arguments."""
     if du < 1 or dv < 1:
         raise ZeroDegreeError("an edge endpoint cannot have degree zero")
-    return math.sqrt(du * du + dv * dv) / min(du, dv)
+    return _pair_term(du, dv)[1]
+
+
+@lru_cache(maxsize=None)
+def _pair_term(du: int, dv: int) -> tuple[tuple[int, int], float, float]:
+    """((lo, hi), HSO term, SO root) of an edge with end degrees du and dv,
+    sorted as lo <= hi: root = sqrt(lo^2 + hi^2) and the term root / lo.
+    Memoized for the process, so every graph with this pair holds the one
+    (lo, hi) tuple."""
+    if du > dv:
+        return _pair_term(dv, du)
+    root = math.sqrt(du * du + dv * dv)
+    return (du, dv), root / du, root
 
 
 def hso(g: Graph) -> IndexValue:
     """HSO and SO of g, computed on the first call for g and memoized on it
-    as the float pair (an IndexValue would hold g and make a cycle)."""
-    return IndexValue(*_hso_pair(g), g)
+    (an IndexValue would hold g and make a cycle)."""
+    return IndexValue(*_profile(g)[:2], g)
 
 
-def _hso_pair(g: Graph) -> tuple[float, float]:
-    """The memoized (HSO, SO) float pair of g, filled by the first call; the
-    checkers read it here rather than through an IndexValue."""
-    pair = g._hso
-    if pair is None:
-        pair = g._hso = _hso_so(g)
-    return pair
+def _profile(g: Graph) -> tuple[float, float, tuple[tuple[int, int], ...]]:
+    """The memoized (HSO, SO, distinct sorted degree pairs) of g, filled by
+    the first call; the checkers read it here, not through an IndexValue."""
+    memo = g._hso
+    if memo is None:
+        memo = g._hso = _profile_pass(g)
+    return memo
 
 
-def _hso_so(g: Graph) -> tuple[float, float]:
-    """(HSO, SO) of g in one pass over the adjacency bitmasks.
+def _profile_pass(g: Graph) -> tuple[float, float, tuple[tuple[int, int], ...]]:
+    """(HSO, SO, distinct sorted degree pairs) of g in one pass over the
+    adjacency bitmasks, which reads each edge's entry from _pair_term.
 
-    Each edge contributes root = sqrt(du^2 + dv^2) to SO and root / min(du, dv)
-    to HSO, the same float operations as edge_term; math.fsum rounds each sum
-    correctly, so the totals do not depend on the order the edges are visited.
+    math.fsum rounds the exact sum once, so the totals are those of the
+    edge terms in any order: each pair's term taken as many times as it
+    has edges.  The pairs kept are _pair_term's own tuples.
     """
     degs = g.degrees
-    sqrt = math.sqrt
-    roots = []
-    terms = []
-    add_root = roots.append
-    add_term = terms.append
+    entries = []
+    add = entries.append
     for u, high in enumerate(g.rows):
         du = degs[u]
         high >>= u + 1
         while high:
             low = high & -high
             high ^= low
-            dv = degs[u + low.bit_length()]
-            root = sqrt(du * du + dv * dv)
-            add_root(root)
-            add_term(root / (du if du < dv else dv))
-    return math.fsum(terms), math.fsum(roots)
+            add(_pair_term(du, degs[u + low.bit_length()]))
+    return (math.fsum(map(itemgetter(1), entries)), math.fsum(map(itemgetter(2), entries)),
+            tuple(dict.fromkeys(map(itemgetter(0), entries))))
 
 
 def so(g: Graph) -> float:
     """Sombor index: sum of sqrt(du^2 + dv^2) over edges."""
-    return _hso_pair(g)[1]
+    return _profile(g)[1]
 
 
 def edge_term_bounds(du: int, dv: int, max_degree: int) -> tuple[float, float]:

@@ -15,8 +15,9 @@ connectivity, so every checker takes any order that graph6 can carry
 
 Every checker reads per-graph facts that are computed at most once: the
 graph's m, max_degree and min_degree fields, set as it is made, and the
-(HSO, SO) float pair that indices memoizes on it, read without building an
-IndexValue.
+HSO, SO and distinct sorted degree pairs that one indices pass over the
+edges memoizes on it.  No checker walks the edges again, except the lemma's
+note on offending edges, and that only when there is an offence.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache, partial
 
 from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
-from .indices import SQRT2, _hso_pair, edge_term, edge_term_bounds
+from .indices import SQRT2, _profile, edge_term, edge_term_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -137,30 +138,20 @@ def is_heavy_independent(g: Graph) -> bool:
     """True when g is connected, not regular, and its vertices of degree above
     the minimum form an independent set.
 
-    Equivalently: every edge has an endpoint of minimum degree.  Together
-    with the regular graphs these are exactly the graphs attaining the upper
-    end of the SO/HSO sandwich.
+    Equivalently: every edge has an endpoint of minimum degree, so every
+    degree pair (i, j) has i = min_degree.  With the regular graphs these
+    are exactly the graphs attaining the upper end of the SO/HSO sandwich.
     """
     if not g.is_connected():
         raise DisconnectedInputError("is_heavy_independent requires a connected graph")
     dmin = g.min_degree
-    if g.max_degree == dmin:
-        return False
-    degrees, rows = g.degrees, g.rows
-    heavy = 0
-    for v, d in enumerate(degrees):
-        if d > dmin:
-            heavy |= 1 << v
-    for v, d in enumerate(degrees):
-        if d > dmin and rows[v] & heavy:
-            return False
-    return True
+    return g.max_degree != dmin and all(lo == dmin for lo, _ in _profile(g)[2])
 
 
 def _sandwich(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     """The lower end is attained exactly by regular graphs; the upper end by
     regular graphs and by the heavy-independent class."""
-    value, so = _hso_pair(g)
+    value, so, _ = _profile(g)
     dmax, dmin = g.max_degree, g.min_degree
     regular = dmax == dmin
     return _bounded_report(
@@ -208,7 +199,7 @@ def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
     for bound, (kinds, _, _) in zip((lower, upper), _EXTREMES[THEOREMS[theorem].graph_class]):
         kind = None if bound is None else next((k for k in kinds if is_member(g, k)), None)
         matches.append((kind, kind is not None))
-    report = _bounded_report(theorem, g, _hso_pair(g)[0], lower, upper, *matches, tolerance)
+    report = _bounded_report(theorem, g, _profile(g)[0], lower, upper, *matches, tolerance)
     if theorem == "bicyclic-lower" and g.n < 6:
         report.note = "bridged pair needs n >= 6; only merged pairs exist"
     elif theorem == "unicyclic-bounds" and g.n <= 4 and report.equality_upper:
@@ -224,7 +215,7 @@ def _edge_count_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
     dmax, dmin, m = g.max_degree, g.min_degree, g.m
     regular = dmax == dmin
     return _bounded_report(
-        theorem, g, _hso_pair(g)[0],
+        theorem, g, _profile(g)[0],
         (1.0 + dmin / (math.sqrt(dmax * dmax + dmin * dmin) + dmax)) * m,
         (dmax / dmin + SQRT2 - 1.0) * m,
         ("regular", regular), ("regular", regular),
@@ -243,25 +234,17 @@ def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
 
     Every verdict depends only on the edge's sorted degree pair, the caps
     and the tolerance, so each (pair, caps, tolerance) is judged once per
-    process.  One pass over the rows collects the graph's distinct pairs,
-    and only when some verdict has an offence are the edges walked, in
+    process, and the graph's distinct pairs come from the memoized HSO
+    pass.  Only when some verdict has an offence are the edges walked, in
     order, to collect the first four offences for the note.
     """
-    degs = g.degrees
+    value, _, pairs = _profile(g)
     caps = (g.max_degree, g.n - 1)
-    pairs = set()
-    for u, high in enumerate(g.rows):
-        du = degs[u]
-        high >>= u + 1
-        while high:
-            low = high & -high
-            high ^= low
-            dv = degs[u + low.bit_length()]
-            pairs.add((du, dv) if du <= dv else (dv, du))
     verdicts = {pair: _lemma_verdict(*pair, caps, tolerance) for pair in pairs}
     kinds = {kind for _, _, offences in verdicts.values() for _, kind in offences}
     note = ""
     if kinds:
+        degs = g.degrees
         bad = []
         for u, v in g.edges():
             du, dv = degs[u], degs[v]
@@ -271,7 +254,7 @@ def _lemma_edge_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremRepor
                 break
         note = f"offending edges: {bad[:4]}"
     return TheoremReport(
-        theorem, g.to_graph6(), g.n, _hso_pair(g)[0], None, None,
+        theorem, g.to_graph6(), g.n, value, None, None,
         "outside" not in kinds,
         any(eq_lower for eq_lower, _, _ in verdicts.values()),
         any(eq_upper for _, eq_upper, _ in verdicts.values()),

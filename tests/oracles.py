@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, gcd, sqrt
+from math import comb, factorial, fsum, gcd, sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +457,11 @@ def degree_fields(rows):
     adjacency bitmasks are rows, counted bit by bit."""
     degrees = [sum(row >> v & 1 for v in range(len(rows))) for row in rows]
     return sum(degrees) // 2, max(degrees), min(degrees)
+
+
+def reference_profile(degrees, edges):
+    """(HSO, SO, set of sorted end-degree pairs) of a graph from its degrees
+    and edges: one term per edge, each sum taken with math.fsum."""
+    pairs = [tuple(sorted((degrees[u], degrees[v]))) for u, v in edges]
+    roots = [sqrt(i * i + j * j) for i, j in pairs]
+    return fsum(root / i for root, (i, _) in zip(roots, pairs)), fsum(roots), set(pairs)

@@ -19,6 +19,7 @@ from hsograph.cli import EXIT_OK, main
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
 from hsograph.graph import from_edge_list, parse_graph6
 from hsograph.verify import THEOREMS, check_theorem
+from test_graph import assert_profile
 
 GOLDEN = {
     # verify <check> --format csv: connected checks at n = 3..6 (star-max
@@ -213,3 +214,13 @@ def test_golden_sampled_reports():
     # sdprimes, c33s, cprimes and cdprimes
     assert count == 5 * 728 + (84 + 28) + (84 + 28) + 2 * (84 + 56)
     assert digest.hexdigest() == GOLDEN_SAMPLED
+
+
+def test_sampled_profiles():
+    """The memoized degree-pair profile of every sampled graph matches its
+    per-edge reference."""
+    count = 0
+    for g in _sampled_graphs():
+        assert_profile(g)
+        count += 1
+    assert count == 728

@@ -39,7 +39,7 @@ from hsograph.graph import (
 )
 from hsograph.enumeration import _all_level, _on_demand, connected_graphs, graphs_in_class
 from hsograph.families import build, cycle, sdprime, star
-from hsograph.indices import _hso_pair, _hso_so, edge_term, hso
+from hsograph.indices import _pair_term, _profile, _profile_pass, edge_term, hso
 
 import oracles
 
@@ -248,6 +248,20 @@ def _memo(g):
     return g._graph6, g._connected, g._hso
 
 
+def assert_profile(g):
+    """The memoized profile of g against a per-edge reference: HSO and SO
+    bit for bit as math.fsum over edge_term and over the roots, and the
+    pairs distinct, each the per-pair memo's own tuple."""
+    value, so_value, pairs = _profile(g)
+    degs = g.degrees
+    terms = [(degs[u], degs[v]) for u, v in g.edges()]
+    assert (value, so_value) == (math.fsum(edge_term(du, dv) for du, dv in terms),
+                                 math.fsum(math.sqrt(du * du + dv * dv) for du, dv in terms))
+    assert (value, so_value, set(pairs)) == oracles.reference_profile(degs, g.edges())
+    assert len(set(pairs)) == len(pairs)
+    assert all(pair is _pair_term(*pair)[0] for pair in pairs)
+
+
 def _assert_degree_fields(g):
     """m, max_degree and min_degree, set as g was made, match its degrees."""
     degrees = g.degrees
@@ -270,9 +284,9 @@ class TestMemo:
                 assert g.to_graph6() == _encode_graph6(g.rows) == fresh.to_graph6()
                 assert g.is_connected() is _sweep_connected(g.rows) is fresh.is_connected()
                 iv = hso(g)
-                assert (iv.hso, iv.so) == _hso_so(g) == (hso(fresh).hso, hso(fresh).so)
+                assert (iv.hso, iv.so) == _profile_pass(g)[:2] == (hso(fresh).hso, hso(fresh).so)
                 assert iv.graph is g
-            assert _memo(g) == _memo(fresh) == (g.to_graph6(), g.is_connected(), _hso_so(g))
+            assert _memo(g) == _memo(fresh) == (g.to_graph6(), g.is_connected(), _profile_pass(g))
             _assert_degree_fields(g)
             _assert_degree_fields(parse_graph6(g.to_graph6()))
             count += 1
@@ -325,17 +339,15 @@ class TestMemo:
         assert joined.to_graph6() == p(4).to_graph6()
 
     def test_checker_pair_is_the_index_value(self):
-        # the float pair the checkers read is bit for bit the public
-        # IndexValue's and a fresh fsum over the edge terms
+        # the HSO and SO the checkers read are bit for bit the public
+        # IndexValue's and a fresh fsum over the edge terms, and the pairs
+        # are the graph's distinct sorted end-degree pairs
         for g in _memo_graphs():
-            pair = _hso_pair(g)
-            assert pair is _hso_pair(g) is g._hso
-            degs = g.degrees
-            terms = [(degs[u], degs[v]) for u, v in g.edges()]
+            profile = _profile(g)
+            assert profile is _profile(g) is g._hso
+            assert_profile(g)
             iv = hso(g)
-            assert pair == (iv.hso, iv.so) == (
-                math.fsum(edge_term(du, dv) for du, dv in terms),
-                math.fsum(math.sqrt(du * du + dv * dv) for du, dv in terms))
+            assert profile[:2] == (iv.hso, iv.so)
 
 
 def _random_relabel(g, rng):

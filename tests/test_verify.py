@@ -60,6 +60,14 @@ class TestHeavyIndependent:
         with pytest.raises(DisconnectedInputError):
             is_heavy_independent(two_components())
 
+    def test_matches_edge_definition(self):
+        # not regular, and every edge has an endpoint of minimum degree
+        for g in (g for n in range(1, 8) for g in connected_graphs(n)):
+            degs, dmin = g.degrees, g.min_degree
+            expected = g.max_degree != dmin and all(min(degs[u], degs[v]) == dmin
+                                                     for u, v in g.edges())
+            assert is_heavy_independent(g) is expected, g
+
 
 class TestSandwich:
     def test_one_connectivity_sweep(self, monkeypatch):
@@ -361,6 +369,45 @@ class TestLemmaAgainstPerEdgeReference:
                           "(2, 3, 4, 'outside'), (2, 3, 4, 'equality-pattern')]")
 
 
+class TestSlackBoundary:
+    """A value exactly one slack from a bound attains it and lies within it.
+    Every value, bound and tolerance here is dyadic, so each slack and each
+    difference is exact."""
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_bounded_report(self, side, offset):
+        # bound 2.0 at tolerance 2**-20 has slack 2**-19
+        g = build(path(3))
+        bounds = (2.0, None) if side == "lower" else (None, 2.0)
+
+        def report(distance):
+            return verify._bounded_report("t", g, 2.0 + offset * distance, *bounds,
+                                          ("x", True), ("x", True), 2.0 ** -20)
+
+        at = report(2.0 ** -19)
+        assert (at.equality_lower, at.equality_upper) == (side == "lower", side == "upper")
+        assert at.holds and at.consistent
+        past = report(2.0 ** -18)
+        assert not (past.equality_lower or past.equality_upper or past.consistent)
+        # past the slack, the value lies outside only on the far side of the bound
+        assert past.holds is ((offset > 0) == (side == "lower"))
+
+    @pytest.mark.parametrize("bounds, tolerance, eq", [
+        ((2.0, 100.0), 2.0 ** -4, (True, False)),  # term = lower + slack
+        ((1.0, 2.0), 2.0 ** -4, (False, True)),    # term = upper + slack
+        ((4.25, 100.0), 0.5, (True, False)),       # term = lower - slack
+        ((1.0, 4.25), 0.5, (False, True)),         # term = upper - slack
+    ])
+    def test_lemma_verdict(self, monkeypatch, fresh_verdicts, bounds, tolerance, eq):
+        # degrees (8, 15) give the dyadic term sqrt(289) / 8 = 2.125; an
+        # equality there misses both patterns under caps (15, 20)
+        assert edge_term(8, 15) == 2.125
+        monkeypatch.setattr(verify, "edge_term_bounds", lambda du, dv, cap: bounds)
+        pattern = ((15, "equality-pattern"), (20, "equality-pattern"))
+        assert verify._lemma_verdict(8, 15, (15, 20), tolerance) == (*eq, pattern)
+
+
 class TestPendantSplitWeight:
     def test_value_at_one(self):
         assert abs(pendant_split_weight(1, 10) - (math.sqrt(10) + 6 * math.sqrt(65))) < 1e-12
@@ -466,7 +513,7 @@ class TestDispatchAndSweeps:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]
         calls = []
         for module, name in ((graph, "_sweep_connected"), (graph, "_encode_graph6"),
-                             (indices, "_hso_so")):
+                             (indices, "_profile_pass")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -475,27 +522,34 @@ class TestDispatchAndSweeps:
         g = from_edge_list(6, edges)
         reports = [check_theorem(t, g) for t in theorems]
         assert len(reports) == 7
-        assert sorted(calls) == ["_encode_graph6", "_hso_so", "_sweep_connected"]
+        assert sorted(calls) == ["_encode_graph6", "_profile_pass", "_sweep_connected"]
         # the same reports as a fresh graph per theorem gives
         assert reports == [check_theorem(t, from_edge_list(6, edges)) for t in theorems]
 
     def test_one_hso_pass_per_graph(self, monkeypatch):
-        # every applicable checker reads the one memoized pair: a tree, a
+        # every applicable checker reads the one memoized profile, and none
+        # walks the edges again when the lemma finds no offence: a tree, a
         # unicyclic, a bicyclic and a three-chord graph of each order 4..16
         passes = []
-        compute = indices._hso_so
-        monkeypatch.setattr(indices, "_hso_so", lambda g: passes.append(g) or compute(g))
+        walks = []
+        compute = indices._profile_pass
+        edges = graph.Graph.edges
+        monkeypatch.setattr(indices, "_profile_pass", lambda g: passes.append(g) or compute(g))
+        monkeypatch.setattr(graph.Graph, "edges", lambda g: walks.append(g) or edges(g))
         rng = random.Random(20)
         checked = 0
         for n in range(4, 17):
             for chords in range(4):
                 g = from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
                 graph_class = g.classify()
+                walks.clear()
                 for theorem, record in verify.THEOREMS.items():
                     if record.graph_class in ("connected", graph_class) and n >= record.min_n:
-                        check_theorem(theorem, g)
+                        report = check_theorem(theorem, g)
+                        assert theorem != "lemma-edge-bounds" or report.note == ""
                         checked += 1
                 assert len(passes) == 1 and passes.pop() is g
+                assert walks == []
         assert checked == 13 * (4 * 5 + 1 + 1 + 2)
 
     def test_report_serialization(self):
