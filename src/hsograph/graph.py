@@ -333,6 +333,15 @@ def _unpack(n, code):
 # parts, which come before it in the count vector.  At the root every degree
 # cell but the last is fresh; after individualizing v only [v] is.
 #
+# A cell is a bitmask of its vertices; each cell's vertices are in increasing
+# order wherever a list would hold them, so the mask loses nothing.  A round
+# counts every vertex's neighbours in a fresh cell at once, as bit planes: bit
+# v of plane k is bit k of v's count, at most 15 at n <= 16, so four planes.
+# Splitting a cell by the planes in turn, most significant plane of the first
+# fresh cell first and the 0-side before the 1-side, puts its parts in
+# increasing order of count vector.  A leaf's code is built column by column,
+# and the leaf is dropped at its first column above the best leaf's.
+#
 # The same search yields generators of the automorphism group: the twin
 # transpositions it prunes by, and the map from the best leaf so far to
 # every later leaf with the same code.  Every leaf of the unpruned tree is the
@@ -357,34 +366,67 @@ class CanonicalForm:
 
 
 def _refine(rows, cells, fresh):
-    """Equitable refinement of an ordered partition (list of vertex lists)
-    whose cells are equitable against every cell but the fresh ones (vertex
-    bitmasks).  A vertex's counts against the fresh cells are packed 4 bits
-    each (at most 15 at n <= 16) into one int, first cell highest."""
+    """Equitable refinement of an ordered partition (a list of vertex
+    bitmasks) whose cells are equitable against every cell but the fresh ones
+    (bitmasks too, in partition order), counted in bit planes as above."""
     while fresh:
+        planes = []
+        for f in fresh:
+            if not f & (f - 1):
+                planes.append(rows[f.bit_length() - 1])
+                continue
+            # ripple-add the rows of f into the planes
+            p0 = p1 = p2 = p3 = 0
+            while f:
+                low = f & -f
+                f ^= low
+                r = rows[low.bit_length() - 1]
+                carry = p0 & r
+                p0 ^= r
+                if carry:
+                    r = p1 & carry
+                    p1 ^= carry
+                    if r:
+                        carry = p2 & r
+                        p2 ^= r
+                        p3 |= carry
+            # a small cell's high planes are zero, and split nothing
+            if p3:
+                planes.append(p3)
+            if p2:
+                planes.append(p2)
+            if p1:
+                planes.append(p1)
+            planes.append(p0)
         new_cells = []
         split = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 new_cells.append(cell)
                 continue
-            keyed = {}
-            for v in cell:
-                rv = rows[v]
-                key = 0
-                for m in fresh:
-                    key = key << 4 | (rv & m).bit_count()
-                keyed.setdefault(key, []).append(v)
-            if len(keyed) == 1:
+            parts = None
+            for plane in planes:
+                one = cell & plane
+                if not one or one == cell:
+                    continue  # splits no part of the cell
+                if parts is None:
+                    parts = [cell ^ one, one]
+                    continue
+                sub = []
+                for part in parts:
+                    one = part & plane
+                    if one and one != part:
+                        sub += (part ^ one, one)
+                    else:
+                        sub.append(part)
+                parts = sub
+            if parts is None:
                 new_cells.append(cell)
-                continue
-            parts = [keyed[key] for key in sorted(keyed)]
-            new_cells += parts
-            for part in parts[:-1]:
-                m = 0
-                for v in part:
-                    m |= 1 << v
-                split.append(m)
+            else:
+                new_cells += parts
+                split += parts[:-1]
+        if len(new_cells) == len(rows):
+            return new_cells  # discrete: nothing left to split
         cells = new_cells
         fresh = split
     return cells
@@ -396,11 +438,12 @@ def _canonical_code_order(rows, n):
     generate the automorphism group."""
     if n == 1:
         return 0, (0,), []
-    by_deg = {}
+    by_deg = [0] * n
     for v in range(n):
-        by_deg.setdefault(rows[v].bit_count(), []).append(v)
-    cells = [by_deg[d] for d in sorted(by_deg)]
-    start = _refine(rows, cells, [sum(1 << v for v in cell) for cell in cells[:-1]])
+        by_deg[rows[v].bit_count()] |= 1 << v
+    cells = [cell for cell in by_deg if cell]
+    start = _refine(rows, cells, cells[:-1])
+    npairs = n * (n - 1) >> 1
     best_code = None
     best_order = None
     generators = []
@@ -408,42 +451,65 @@ def _canonical_code_order(rows, n):
     stack = [start]
     while stack:
         cells = stack.pop()
-        split_at = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                split_at = idx
-                break
-        if split_at < 0:
-            order = [cell[0] for cell in cells]
+        if len(cells) == n:
+            # position p is bit n-1-p, so the row of order[j], relabeled and
+            # shifted down by n-j, is column j of the code: pairs (0, j) to
+            # (j-1, j), most significant first
+            order = [cell.bit_length() - 1 for cell in cells]
+            at = [0] * n
+            bit = 1 << n
+            for v in order:
+                bit >>= 1
+                at[v] = bit
             code = 0
+            tied = best_code is not None  # equal to the best so far
+            placed = cells[0]
             for j in range(1, n):
-                rj = rows[order[j]]
-                for i in range(j):
-                    code = (code << 1) | (rj >> order[i] & 1)
-            if best_code is None or code < best_code:
-                best_code = code
-                best_order = tuple(order)
-            elif code == best_code:
-                image = [0] * n
-                for u, v in zip(best_order, order):
-                    image[u] = v
-                generators.append(tuple(image))
+                r = rows[order[j]] & placed
+                placed |= cells[j]
+                column = 0
+                while r:
+                    low = r & -r
+                    r ^= low
+                    column |= at[low.bit_length() - 1]
+                code = code << j | column >> (n - j)
+                if tied:
+                    best = best_code >> (npairs - (j * (j + 1) >> 1))
+                    if code != best:
+                        if code > best:
+                            break  # a larger code
+                        tied = False
+            else:
+                if tied:
+                    image = [0] * n
+                    for u, v in zip(best_order, order):
+                        image[u] = v
+                    generators.append(tuple(image))
+                else:
+                    best_code = code
+                    best_order = tuple(order)
             continue
-        cell = cells[split_at]
+        for idx, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
         reps = []
-        for v in cell:
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             rv = rows[v]
             for r in reps:
-                if (rv & ~(1 << r)) == (rows[r] & ~(1 << v)):
+                if (rv & ~(1 << r)) == (rows[r] & ~low):
                     twins.add((r, v))
                     break
             else:
                 reps.append(v)
-        pre = cells[:split_at]
-        post = cells[split_at + 1:]
+        pre = cells[:idx]
+        post = cells[idx + 1:]
         for v in reps:
-            rest = [u for u in cell if u != v]
-            stack.append(_refine(rows, pre + [[v], rest] + post, [1 << v]))
+            low = 1 << v
+            stack.append(_refine(rows, pre + [low, cell ^ low] + post, [low]))
     for r, v in twins:
         image = list(range(n))
         image[r], image[v] = v, r

@@ -22,7 +22,6 @@ note on offending edges, and that only when there is an offence.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ from functools import lru_cache, partial
 from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
 from .indices import SQRT2, _profile, edge_term, edge_term_bounds
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -206,7 +203,6 @@ def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
         # At n <= 4 the maximizer family degenerates (sprime:3 is the
         # triangle); record the fact instead of treating it as a finding.
         report.note = "upper equality at degenerate order"
-        logger.info("unicyclic upper equality at n=%d for %s", g.n, report.graph6)
     return report
 
 

@@ -17,9 +17,9 @@ import pytest
 import oracles
 from hsograph.cli import EXIT_OK, main
 from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path, sdprime, sprime, star
-from hsograph.graph import from_edge_list, parse_graph6
+from hsograph.graph import canonical_form, from_edge_list, parse_graph6
 from hsograph.verify import THEOREMS, check_theorem
-from test_graph import assert_profile
+from test_graph import _random_relabel, assert_profile
 
 GOLDEN = {
     # verify <check> --format csv: connected checks at n = 3..6 (star-max
@@ -107,6 +107,12 @@ GOLDEN_COMPUTE = {
 # hashed in order.  The CLI digests above stop at n = 8, and n = 6 for the
 # connected theorems.
 GOLDEN_SAMPLED = "a22e7646cbe708c9ca672503f6004622754e6465a08abf499b161a79df92c5e6"
+
+# canonical_form(g).code of seeded random connected graphs at n = 10..16,
+# sparse to two edges short of complete, each also under a random
+# relabeling, hashed in order.  Canonical forms are public up to n = 16, and
+# the enumeration streams pin them only up to n = 12.
+GOLDEN_CANONICAL = "5c8a67e65c7512ed1ee3be3fa844027a5372eb8a4d7744f43df17cf931567ccf"
 
 # the whole output of `compute Bw --per-edge --format json`, also compared
 # byte for byte against the installed console script in CI
@@ -224,3 +230,20 @@ def test_sampled_profiles():
         assert_profile(g)
         count += 1
     assert count == 728
+
+
+def test_golden_canonical_codes():
+    rng = random.Random(1016)
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(10, 17):
+        absent = (n - 1) * (n - 2) // 2
+        for chords in (0, 2, n // 2, n, 2 * n, absent // 2, absent - 2):
+            for _ in range(5):
+                g = from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
+                code = canonical_form(g).code
+                assert canonical_form(_random_relabel(g, rng)).code == code
+                digest.update(f"{n} {code}\n".encode())
+                count += 1
+    assert count == 7 * 7 * 5
+    assert digest.hexdigest() == GOLDEN_CANONICAL

@@ -38,7 +38,7 @@ from hsograph.graph import (
     parse_graph6,
 )
 from hsograph.enumeration import _all_level, _on_demand, connected_graphs, graphs_in_class
-from hsograph.families import build, cycle, sdprime, star
+from hsograph.families import build, complete, cycle, sdprime, star
 from hsograph.indices import _pair_term, _profile, _profile_pass, edge_term, hso
 
 import oracles
@@ -423,8 +423,10 @@ class TestCanonicalForm:
 
 
 def _refinement_graphs():
-    """Every graph on up to 7 vertices, then seeded random connected graphs
-    and the cycles on 9..16 vertices."""
+    """Every graph on up to 7 vertices, seeded random connected graphs and
+    the cycles on 9..16 vertices, then graphs on 16 vertices where counts of
+    8 to 15 set the top count plane: K16, K1,15, K8,8, the complement of C16
+    and one whose root order that plane decides."""
     for n in range(1, 8):
         yield from _on_demand(_all_level, n)
     rng = random.Random(16)
@@ -432,10 +434,33 @@ def _refinement_graphs():
         for chords in (0, n // 2, 2 * n):
             yield from_edge_list(n, oracles.random_connected_edges(n, rng, chords))
         yield build(cycle(n))
+    yield build(complete(16))
+    yield build(star(16))
+    yield from_edge_list(16, [(u, v) for u in range(8) for v in range(8, 16)])
+    yield from_edge_list(16, [(u, v) for u in range(16) for v in range(u + 2, 16) if v - u < 15])
+    # the root's first fresh cell is the eight vertices of degree 2; vertices
+    # 8 and 9, both of degree 9, have 8 and 2 neighbours there, so only the
+    # top plane puts 9 first
+    yield from_edge_list(16, [(u, 8) for u in range(8)] + [(2, 3), (4, 5), (6, 7)]
+                         + [(u, 9) for u in (0, 1, 8, *range(10, 16))]
+                         + [(w, w + 1) for w in range(10, 15)] + [(10, 15)])
 
 
 def _mask(cell):
     return sum(1 << v for v in cell)
+
+
+def _reference_refine(rows, cells):
+    """oracles.reference_refine on bitmask cells: each mask goes in as its
+    vertex list in increasing order, and each refined list comes back as a
+    mask."""
+    lists = [[v for v in range(len(rows)) if cell >> v & 1] for cell in cells]
+    return [_mask(cell) for cell in oracles.reference_refine(rows, lists)]
+
+
+# search-tree nodes checked per graph: every node of every graph but the dense
+# ones on 16 vertices, whose trees have up to 16! leaves
+_NODE_BUDGET = 10_000
 
 
 class TestRefinement:
@@ -444,31 +469,34 @@ class TestRefinement:
 
     def test_partitions_match_reference(self):
         for g in _refinement_graphs():
-            by_degree = {}
+            by_degree = [0] * g.n
             for v in range(g.n):
-                by_degree.setdefault(g.degrees[v], []).append(v)
-            cells = [by_degree[d] for d in sorted(by_degree)]
-            root = _refine(g.rows, cells, [_mask(c) for c in cells[:-1]])
-            assert root == oracles.reference_refine(g.rows, cells)
-            # every node of the search tree, without the twin pruning
+                by_degree[g.degrees[v]] |= 1 << v
+            cells = [cell for cell in by_degree if cell]
+            root = _refine(g.rows, cells, cells[:-1])
+            assert root == _reference_refine(g.rows, cells)
+            # the nodes of the search tree, without the twin pruning, depth first
             stack = [root]
-            while stack:
+            budget = _NODE_BUDGET
+            while stack and budget > 0:
                 cells = stack.pop()
-                at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+                at = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
                 if at is None:
                     continue
-                for v in cells[at]:
-                    rest = [u for u in cells[at] if u != v]
-                    individualized = cells[:at] + [[v], rest] + cells[at + 1:]
-                    refined = _refine(g.rows, individualized, [1 << v])
-                    assert refined == oracles.reference_refine(g.rows, individualized)
-                    stack.append(refined)
+                for v in range(g.n):
+                    if cells[at] >> v & 1:
+                        low = 1 << v
+                        individualized = cells[:at] + [low, cells[at] ^ low] + cells[at + 1:]
+                        refined = _refine(g.rows, individualized, [low])
+                        assert refined == _reference_refine(g.rows, individualized)
+                        stack.append(refined)
+                        budget -= 1
 
     def test_canonical_labeling_matches_reference(self, monkeypatch):
         graphs = list(_refinement_graphs())
         labelings = [_canonical_code_order(g.rows, g.n) for g in graphs]
         forms = [canonical_form(g) for g in graphs]
         monkeypatch.setattr("hsograph.graph._refine",
-                            lambda rows, cells, fresh: oracles.reference_refine(rows, cells))
+                            lambda rows, cells, fresh: _reference_refine(rows, cells))
         assert [_canonical_code_order(g.rows, g.n) for g in graphs] == labelings
         assert [canonical_form(g) for g in graphs] == forms
