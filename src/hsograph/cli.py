@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -148,6 +147,8 @@ def _write_json(fh, meta: dict, key: str, items):
     """The bytes of print(json.dumps({"tool": ..., **meta, key: list(items)},
     indent=2, sort_keys=True)), written item by item: the keys around the
     list come from the same document with the list empty."""
+    import json  # only JSON output pays for the import
+
     head, tail = json.dumps({"tool": _TOOL, **meta, key: []}, indent=2,
                             sort_keys=True).split(f'"{key}": []')
     fh.write(f'{head}"{key}": [')
@@ -176,6 +177,8 @@ def _write_items(fh, items, fmt: str, meta: dict, key: str, columns):
 
 def _write_summary(fh, summary: CampaignSummary, fmt: str, meta: dict):
     if fmt == "json":
+        import json  # only JSON output pays for the import
+
         doc = {"tool": _TOOL, **meta, "summary": summary.to_dict()}
         print(json.dumps(doc, indent=2, sort_keys=True), file=fh)
     elif fmt == "csv":

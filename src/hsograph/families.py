@@ -26,7 +26,7 @@ Kinds and their parameters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graph import Graph, from_edge_list
 from .indices import SQRT2, SQRT5
@@ -58,44 +58,46 @@ class OrderOutOfRangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Symbolic description of one family member: kind, order and parameters."""
+class FamilySpec(namedtuple("FamilySpec", "kind n params")):
+    """Symbolic description of one family member: kind, order and parameters.
+    Every way of making one validates it: the constructor, _make and _replace."""
 
-    kind: str
-    n: int
-    params: tuple[int, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParametersError(f"unknown family kind {self.kind!r}")
-        if self.n < _MIN_ORDER[self.kind]:
-            raise InvalidParametersError(
-                f"{self.kind} needs order >= {_MIN_ORDER[self.kind]}, got {self.n}"
-            )
-        if self.kind == "tripend":
-            if len(self.params) != 3:
+    def __new__(cls, kind: str, n: int, params: tuple[int, ...] = ()):
+        if kind not in KINDS:
+            raise InvalidParametersError(f"unknown family kind {kind!r}")
+        if n < _MIN_ORDER[kind]:
+            raise InvalidParametersError(f"{kind} needs order >= {_MIN_ORDER[kind]}, got {n}")
+        if kind == "tripend":
+            if len(params) != 3:
                 raise InvalidParametersError("tripend takes three pendant counts")
-            a1, a2, a3 = self.params
+            a1, a2, a3 = params
             if not a1 >= a2 >= a3 >= 0:
                 raise InvalidParametersError(
                     "tripend pendant counts must be non-increasing and non-negative"
                 )
-            if a1 + a2 + a3 != self.n - 3:
+            if a1 + a2 + a3 != n - 3:
                 raise InvalidParametersError("tripend pendant counts must sum to n - 3")
-        elif self.kind in ("cprime", "cdprime"):
-            if len(self.params) != 2:
-                raise InvalidParametersError(f"{self.kind} takes two cycle lengths")
-            p, q = self.params
+        elif kind in ("cprime", "cdprime"):
+            if len(params) != 2:
+                raise InvalidParametersError(f"{kind} takes two cycle lengths")
+            p, q = params
             if p < 3 or q < 3:
                 raise InvalidParametersError("cycle lengths must be at least 3")
-            expect = p + q if self.kind == "cprime" else p + q - 2
-            if expect != self.n:
+            expect = p + q if kind == "cprime" else p + q - 2
+            if expect != n:
                 raise InvalidParametersError(
-                    f"{self.kind} cycle lengths ({p}, {q}) give order {expect}, not {self.n}"
+                    f"{kind} cycle lengths ({p}, {q}) give order {expect}, not {n}"
                 )
-        elif self.params:
-            raise InvalidParametersError(f"{self.kind} takes no extra parameters")
+        elif params:
+            raise InvalidParametersError(f"{kind} takes no extra parameters")
+        return super().__new__(cls, kind, n, params)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     def label(self) -> str:
         if self.params:

@@ -26,7 +26,7 @@ _code_graph6 turns a code into graph6.
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 GRAPH6_MAX_N = 62
@@ -350,19 +350,17 @@ def _unpack(n, code):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "n code")):
     """Relabeling-invariant code: upper-triangle bits under the canonical order.
 
     The code packs pair (i, j) bits in column-major order (0,1), (0,2),
     (1,2), (0,3), ... with the first pair most significant, so integer
     comparison equals lexicographic bit-string comparison.  It is the graph6
     body, less padding, of the graph in canonical labeling: _unpack(n, code)
-    builds that graph's rows.
+    builds that graph's rows.  Forms order by (n, code).
     """
 
-    n: int
-    code: int
+    __slots__ = ()
 
 
 def _refine(rows, cells, fresh):

@@ -10,7 +10,7 @@ and the distinct pairs stay memoized on the graph for every checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -32,26 +32,19 @@ class K2EdgeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeTerm:
+class EdgeTerm(namedtuple("EdgeTerm", "u v du dv value")):
     """One edge's HSO contribution together with its endpoint degrees."""
 
-    u: int
-    v: int
-    du: int
-    dv: int
-    value: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(namedtuple("IndexValue", "hso so graph")):
     """HSO and SO of one graph.  The per-edge breakdown is built from the
     graph the first time per_edge is read, so the checking path never
-    allocates one object per edge."""
+    allocates one object per edge.  The repr leaves the graph out."""
 
-    hso: float
-    so: float
-    graph: Graph = field(repr=False)
+    def __repr__(self):
+        return f"IndexValue(hso={self.hso!r}, so={self.so!r})"
 
     @cached_property
     def per_edge(self) -> tuple[EdgeTerm, ...]:

@@ -11,8 +11,7 @@ result as it comes, so none holds a whole level; g.n tells the orders apart.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import partial
 from itertools import chain, groupby, islice
 from operator import attrgetter, itemgetter
@@ -32,18 +31,12 @@ SLICE = 1024
 SLICES_PER_JOB = 2
 
 
-@dataclass
-class MonotonicityWitness:
+class MonotonicityWitness(namedtuple("MonotonicityWitness", "graph6_before graph6_after "
+                                     "added_edge hso_before hso_after delta")):
     """A connected graph plus an edge whose insertion lowers HSO."""
 
+    __slots__ = ()
     CSV_COLUMNS = ("graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta")
-
-    graph6_before: str
-    graph6_after: str
-    added_edge: tuple[int, int]
-    hso_before: float
-    hso_after: float
-    delta: float
 
     def to_dict(self) -> dict:
         return {
@@ -64,22 +57,17 @@ class MonotonicityWitness:
         return f"{self.graph6_before} {self.graph6_after}"
 
 
-@dataclass
 class CampaignSummary:
-    """Aggregate of one verification or search run over an enumerated class."""
+    """Aggregate of one verification or search run over an enumerated class:
+    its counters and tables start empty and fill as the run goes."""
 
-    label: str
-    graph_class: str
-    n_lo: int
-    n_hi: int
-    graphs_examined: int = 0
-    violations: list = field(default_factory=list)
-    extremal_min: dict = field(default_factory=dict)
-    extremal_max: dict = field(default_factory=dict)
-    eq_lower_witnesses: dict = field(default_factory=dict)
-    eq_upper_witnesses: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    def __init__(self, label: str, graph_class: str, n_lo: int, n_hi: int):
+        self.label, self.graph_class, self.n_lo, self.n_hi = label, graph_class, n_lo, n_hi
+        self.graphs_examined, self.wall_time = 0, 0.0
+        self.violations = []
+        self.extremal_min, self.extremal_max = {}, {}
+        self.eq_lower_witnesses, self.eq_upper_witnesses = {}, {}
+        self.details = {}
 
     def to_dict(self) -> dict:
         """Everything but wall_time, so that equal runs give equal dicts."""

@@ -23,8 +23,7 @@ note on offending edges, and that only when there is an offence.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
@@ -74,22 +73,39 @@ class UnknownCheckError(ValueError):
     pass
 
 
-@dataclass(slots=True)
 class TheoremReport:
-    """Outcome of checking one theorem on one graph."""
+    """Outcome of checking one theorem on one graph.  Reports compare equal
+    when every field does, and are unhashable: a checker may set the note."""
 
-    theorem: str
-    graph6: str
-    n: int
-    value: float
-    bound_lower: float | None
-    bound_upper: float | None
-    holds: bool
-    equality_lower: bool
-    equality_upper: bool
-    structural_class: str
-    consistent: bool
-    note: str = ""
+    __slots__ = ("theorem", "graph6", "n", "value", "bound_lower", "bound_upper", "holds",
+                 "equality_lower", "equality_upper", "structural_class", "consistent", "note")
+
+    def __init__(self, theorem: str, graph6: str, n: int, value: float,
+                 bound_lower: float | None, bound_upper: float | None, holds: bool,
+                 equality_lower: bool, equality_upper: bool, structural_class: str,
+                 consistent: bool, note: str = ""):
+        self.theorem = theorem
+        self.graph6 = graph6
+        self.n = n
+        self.value = value
+        self.bound_lower = bound_lower
+        self.bound_upper = bound_upper
+        self.holds = holds
+        self.equality_lower = equality_lower
+        self.equality_upper = equality_upper
+        self.structural_class = structural_class
+        self.consistent = consistent
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"TheoremReport({fields})"
 
     def to_dict(self) -> dict:
         return {
@@ -324,16 +340,13 @@ def _split_slope_nonpositive(x: int, n: int) -> bool:
     return pa * pa * (b * b + 1) <= pb * pb * (a * a + 1)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(namedtuple("Theorem", "checker graph_class min_n bounds",
+                         defaults=((False, False),))):
     """A checked statement: its checker, class and least order, and whether
-    its class's least and greatest HSO in families._EXTREMES bound it.  The
-    checker takes (theorem, g, tolerance) for a g already in that class and order."""
+    its class's least and greatest HSO in families._EXTREMES bound it.  The checker
+    maps (theorem, g, tolerance), g already in that class and order, to a TheoremReport."""
 
-    checker: Callable[[str, Graph, float], TheoremReport]
-    graph_class: str
-    min_n: int
-    bounds: tuple[bool, bool] = (False, False)
+    __slots__ = ()
 
 
 THEOREMS = {

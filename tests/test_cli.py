@@ -10,7 +10,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -251,7 +250,7 @@ class TestErrorExits:
             raise ValueError("internal fault")
 
         record = verify.THEOREMS["sandwich"]
-        monkeypatch.setitem(verify.THEOREMS, "sandwich", replace(record, checker=faulty))
+        monkeypatch.setitem(verify.THEOREMS, "sandwich", record._replace(checker=faulty))
         with pytest.raises(ValueError, match="internal fault"):
             run_cli("verify", "sandwich", "--n", "3..4")
 
@@ -542,6 +541,27 @@ class TestStreamedCampaign:
 
 
 class TestSubprocessEntry:
+    @pytest.mark.parametrize("module", ["hsograph", "hsograph.cli"])
+    def test_import_leaves_out_heavy_modules(self, module):
+        # no dataclasses (which brings inspect, ast and dis), and json only
+        # once JSON is written
+        code = (f"import sys, {module}\n"
+                "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+
+    def test_json_output_imports_json(self):
+        # a fresh process writes JSON through the import it defers
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsograph.cli", "compute", "Bw", "--per-edge",
+             "--format", "json"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        golden = os.path.join(os.path.dirname(__file__), "golden", "compute-Bw-per-edge.json")
+        with open(golden) as fh:
+            assert proc.stdout == fh.read()
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hsograph.cli", "compute", "star:4"],
