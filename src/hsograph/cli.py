@@ -227,7 +227,6 @@ def run_verify_campaign(
     campaign holds no more than the stream's window.  check_theorem and
     graphs_in_class are looked up in this module when the campaign runs.
     """
-    start = time.perf_counter()
     record = THEOREMS[theorem]
     if graph_class and record.graph_class not in ("connected", graph_class):
         raise UsageError(f"{theorem} is stated over {record.graph_class} graphs, "
@@ -254,7 +253,6 @@ def run_verify_campaign(
             yield r
 
     (write or deque(maxlen=0).extend)(folded())
-    summary.wall_time = time.perf_counter() - start
     return summary
 
 
@@ -299,10 +297,7 @@ def cmd_compute(args) -> int:
             "so": iv.so,
         }
         if args.per_edge:
-            entry["per_edge"] = [
-                {"u": t.u, "v": t.v, "du": t.du, "dv": t.dv, "value": t.value}
-                for t in iv.per_edge
-            ]
+            entry["per_edge"] = [t._asdict() for t in iv.per_edge]
         results.append(entry)
     with _output(args.out) as fh:
         if args.format == "json":
@@ -328,6 +323,7 @@ def cmd_verify(args) -> int:
         with _output(args.out) as fh:
             _write_items(fh, reports, args.format, meta, "reports", CSV_COLUMNS)
 
+    start = time.perf_counter()
     summary = run_verify_campaign(
         args.check,
         n_lo,
@@ -340,7 +336,7 @@ def cmd_verify(args) -> int:
     )
     print(
         f"{summary.label}: examined {summary.graphs_examined} graphs, "
-        f"{len(summary.violations)} violations, {summary.wall_time:.2f}s",
+        f"{len(summary.violations)} violations, {time.perf_counter() - start:.2f}s",
         file=sys.stderr,
     )
     return EXIT_OK if not summary.violations else EXIT_VIOLATION

@@ -515,20 +515,14 @@ def _canonical_code_order(rows, n):
     return best_code, best_order, generators
 
 
-def _check_canonical_order(n):
-    if n > CANONICAL_MAX_N:
-        raise OrderTooLargeError(f"canonical forms support n <= {CANONICAL_MAX_N}, got {n}")
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical code of g; equal codes iff isomorphic (exact at supported orders)."""
-    _check_canonical_order(g.n)
+    if g.n > CANONICAL_MAX_N:
+        raise OrderTooLargeError(f"canonical forms support n <= {CANONICAL_MAX_N}, got {g.n}")
     code, _, _ = _canonical_code_order(g.rows, g.n)
     return CanonicalForm(g.n, code)
 
 
 def canonical_relabel(g: Graph) -> Graph:
     """Copy of g relabeled into its canonical vertex order."""
-    _check_canonical_order(g.n)
-    code, _, _ = _canonical_code_order(g.rows, g.n)
-    return Graph(g.n, _unpack(g.n, code))
+    return Graph(g.n, _unpack(g.n, canonical_form(g).code))

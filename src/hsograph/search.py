@@ -10,7 +10,6 @@ result as it comes, so none holds a whole level; g.n tells the orders apart.
 
 from __future__ import annotations
 
-import time
 from collections import deque, namedtuple
 from functools import partial
 from itertools import chain, groupby, islice
@@ -39,14 +38,7 @@ class MonotonicityWitness(namedtuple("MonotonicityWitness", "graph6_before graph
     CSV_COLUMNS = ("graph6_before", "graph6_after", "u", "v", "hso_before", "hso_after", "delta")
 
     def to_dict(self) -> dict:
-        return {
-            "graph6_before": self.graph6_before,
-            "graph6_after": self.graph6_after,
-            "added_edge": list(self.added_edge),
-            "hso_before": self.hso_before,
-            "hso_after": self.hso_after,
-            "delta": self.delta,
-        }
+        return {**self._asdict(), "added_edge": list(self.added_edge)}
 
     def csv_row(self) -> list:
         return [self.graph6_before, self.graph6_after, *self.added_edge,
@@ -63,14 +55,13 @@ class CampaignSummary:
 
     def __init__(self, label: str, graph_class: str, n_lo: int, n_hi: int):
         self.label, self.graph_class, self.n_lo, self.n_hi = label, graph_class, n_lo, n_hi
-        self.graphs_examined, self.wall_time = 0, 0.0
+        self.graphs_examined = 0
         self.violations = []
         self.extremal_min, self.extremal_max = {}, {}
         self.eq_lower_witnesses, self.eq_upper_witnesses = {}, {}
         self.details = {}
 
     def to_dict(self) -> dict:
-        """Everything but wall_time, so that equal runs give equal dicts."""
         return {
             "label": self.label,
             "graph_class": self.graph_class,
@@ -140,22 +131,19 @@ def find_monotonicity_counterexamples(
 
     Witness graphs are emitted in their canonical labeling, so the pairs are
     reproducible and the before graph can be recovered from the after graph
-    by removing the recorded edge.
+    by removing the recorded edge.  They come in the stream's own order,
+    which is (graph6_before, added_edge) order.
     """
     if not 3 <= n_max <= MONOTONICITY_MAX_N:
         error = OrderTooSmallError if n_max < 3 else OrderTooLargeError
         raise error(f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}")
     stream = chain.from_iterable(connected_graphs(n) for n in range(3, n_max + 1))
     drops = partial(_edge_drops, tolerance=tolerance)
-    witnesses = [w for _, found in sweep(drops, stream, jobs) for w in found]
-    # graph6 strings sort exactly like (n, canonical code): the header byte
-    # grows with n and body characters compare like the packed bit string
-    witnesses.sort(key=lambda w: (w.graph6_before, w.added_edge))
-    return witnesses
+    return [w for _, found in sweep(drops, stream, jobs) for w in found]
 
 
 def witnesses_with_delta(
-    witnesses: list[MonotonicityWitness], target_delta: float, tolerance: float = 1e-9
+    witnesses: list[MonotonicityWitness], target_delta: float, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[MonotonicityWitness]:
     """Filter witnesses whose HSO drop matches a target value."""
     return [w for w in witnesses if abs(w.delta - target_delta) <= tolerance]
@@ -174,7 +162,6 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     # every order is checked before the first level is built
     levels = [connected_graphs(n) for n in range(n_lo, n_hi + 1)]
     check = partial(check_theorem, "star-max", tolerance=tolerance)
-    start = time.perf_counter()
     results = sweep(check, chain.from_iterable(levels), jobs)
     for n, level in groupby(results, key=lambda result: result[0].n):
         summary = CampaignSummary("search:conjecture", "connected", n, n)
@@ -191,8 +178,6 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
         summary.details["star_value"] = best.bound_upper
         # star-max bounds only the upper side, so any structural tag is the star
         summary.details["maximizer_is_star"] = best.structural_class != "none"
-        summary.wall_time = time.perf_counter() - start
-        start = time.perf_counter()
         yield summary
 
 
@@ -214,7 +199,6 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
     if graph_class not in _EXTREMES:
         raise ValueError(f"unknown graph class {graph_class!r}")
     (min_kinds, _, _), (max_kinds, _, _) = _EXTREMES[graph_class]
-    start = time.perf_counter()
     summary = CampaignSummary("search:extremal-table", graph_class, n_lo, n_hi)
     levels = [graphs_in_class(graph_class, n) for n in range(n_lo, n_hi + 1)]
     results = sweep(_hso_value, chain.from_iterable(levels), jobs)
@@ -235,7 +219,6 @@ def extremal_table(graph_class: str, n_lo: int, n_hi: int, jobs: int = 1) -> Cam
                 summary.violations.append(
                     {"n": n, "side": side, "graph6": g.to_graph6(), "value": value}
                 )
-    summary.wall_time = time.perf_counter() - start
     return summary
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,17 @@ class TestVerify:
             assert canonical_form(g) == canonical_form(build(star(n)))
         for summary in conjecture_sweep(2, 8):
             assert greatest[summary.n_lo] == summary.extremal_max[summary.n_lo]
+
+    @pytest.mark.parametrize("argv, line", [
+        (("verify", "sandwich", "--n", "2..5"),
+         r"verify:sandwich: examined 30 graphs, 0 violations, \d+\.\d\ds"),
+        (("verify", "f-monotone", "--n", "5..9"),
+         r"verify:f-monotone: examined 5 orders, 0 violations, \d+\.\d\ds"),
+    ], ids=["sandwich", "f-monotone"])
+    def test_summary_line_on_stderr(self, argv, line, capsys):
+        assert run_cli(*argv) == EXIT_OK
+        (summary,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(line, summary)
 
     def test_range_below_statement_is_usage_error(self):
         assert run_cli("verify", "tree-bounds", "--n", "2..5") == EXIT_USAGE

@@ -67,9 +67,9 @@ GOLDEN_NOTES = {
         "bd5425d3cac355089e138e9aa1a88a252d788ee0dd01aac810d73163664093fc",
 }
 
-# verify <check> --format text, and search monotonicity in text and CSV:
-# the renderings of the one report and witness writer that the CSV and JSON
-# digests above do not reach (a connected theorem and a class theorem)
+# verify <check> --format text, and search monotonicity in text, CSV and
+# JSON: the renderings of the one report and witness writer that the CSV and
+# JSON digests above do not reach (a connected theorem and a class theorem)
 GOLDEN_RENDERINGS = {
     ("verify", "sandwich", "--n", "3..6", "--format", "text"):
         "c29c545ea6ec745a4db9efe6ec2f9802dd203cba6f0b3d33ad94deb76253e63c",
@@ -79,6 +79,8 @@ GOLDEN_RENDERINGS = {
         "1097dacf997cdd2ffef4236dcc174d41174fc27414e8cad5e468b9c876ee3f6d",
     ("search", "monotonicity", "--n-max", "6", "--format", "csv"):
         "353dcecb2c3fc2db39b275c4f6e85dd46b4803404fe7b5e363b8c4dca9ed60e2",
+    ("search", "monotonicity", "--n-max", "6", "--format", "json"):
+        "1e38aa648630c6631a271c2ad46c234556664ba8950af999ad19d0eb4b317ff3",
 }
 
 # enumerate: the graph6 streams of the classes the paper's new bounds cover,
