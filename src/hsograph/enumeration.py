@@ -1,11 +1,16 @@
 """Exhaustive enumeration of small graphs, one representative per isomorphism class.
 
 Every level is built from the level below by McKay's canonical deletion
-("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  All graphs
-on n vertices come from those on n-1 plus a new vertex joined to a subset of
-the old ones; disconnected graphs stay in these levels (a connected graph
-minus a vertex need not be connected) and connectivity is filtered at the
-end.  Trees come from trees plus a leaf.  Connected graphs with m edges come
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Connected
+graphs on n vertices come from every graph on n-1 plus a new vertex joined to
+a subset of the old ones that meets each of its components.  The parents are
+the connected level below and the disconnected graphs, each built as the
+disjoint union of its components, a multiset of connected graphs from lower
+levels (Harary and Palmer, Graphical Enumeration, 1973), and never labeled.
+No class is lost: in a connected child the canonical deletion vertex meets
+every component of what its deletion leaves.  The component test is
+invariant under Aut(parent), so the sibling filter below still sees whole
+orbits.  Trees come from trees plus a leaf.  Connected graphs with m edges come
 from those with m-1 edges plus one non-edge, starting at the trees.
 
 A class of graph.CLASSES is its cyclomatic number m - n + 1, the class's
@@ -33,11 +38,13 @@ the rule together, so a sibling filter labels one child per orbit and skips
 the rest before any labeling.  The invariant tests also run before any
 canonical labeling.  The orbits come from the automorphism generators of the
 labeling search: the child's for the deletion rule, the parent's for the
-sibling filter.
+sibling filter.  The search finds them in any labeling, so a union's
+labeling is never needed.
 
 Each level is cached as the sorted tuple of its canonical codes, and a
 stream (or the next level's build) makes a fresh Graph, with its own memo,
-from each code in turn.  The code is also the graph's graph6 body, so each
+from each code in turn, connected by construction, so its connectivity memo
+is set and never swept.  The code is also the graph's graph6 body, so each
 graph's graph6 is formatted from it and never encoded bit by bit.  Streams
 are deterministic: every graph is in its canonical labeling and in code
 order, repeated runs yield byte-identical graph6 sequences and consumers may
@@ -62,6 +69,7 @@ from .graph import (
     _bits,
     _canonical_code_order,
     _code_graph6,
+    _sweep_connected,
     _unpack,
 )
 
@@ -142,12 +150,12 @@ def _canonical_deletion(parents, children):
 
 
 def _min_degree_masks(degrees):
-    """Neighbour masks that give a new vertex the minimum degree of the child:
-    any k old vertices for k up to the old minimum degree d, or for k = d + 1
-    every vertex of degree d plus enough of the others."""
+    """Non-empty neighbour masks that give a new vertex the minimum degree of
+    the child: any k old vertices for 0 < k <= the old minimum degree d, or
+    for k = d + 1 every vertex of degree d plus enough of the others."""
     low = min(degrees)
     vertices = [1 << v for v in range(len(degrees))]
-    for k in range(low + 1):
+    for k in range(1, low + 1):
         for chosen in combinations(vertices, k):
             yield sum(chosen)
     forced = sum(bit for bit, d in zip(vertices, degrees) if d == low)
@@ -160,7 +168,8 @@ def _min_degree_masks(degrees):
 
 def _vertex_children(parent, leaf_only):
     """Children with a last vertex joined to a neighbour mask (a single old
-    vertex when leaf_only is set) that passes the vertex rule's invariants."""
+    vertex when leaf_only is set) that meets every component of the parent,
+    so the child is connected, and passes the vertex rule's invariants."""
     x = parent.n
     top = 1 << x
     if leaf_only:
@@ -197,7 +206,9 @@ def _vertex_children(parent, leaf_only):
             if score == best:
                 rivals.append(1 << v)
         else:
-            yield mask, tuple(rows), top, rivals
+            # a non-empty mask meets the one component of a connected parent
+            if parent._connected or _sweep_connected(rows):
+                yield mask, tuple(rows), top, rivals
 
 
 def _edge_children(parent):
@@ -251,15 +262,52 @@ def _on_demand(level, n, *args):
     for code in level(n, *args):
         g = Graph(n, _unpack(n, code))
         g._graph6 = _code_graph6(n, code)
+        g._connected = True
         yield g
 
 
+def _multisets(total, k, i, largest):
+    """Each multiset of connected graphs of total order total, from the i-th
+    code of order k up to order largest, as a non-decreasing tuple of
+    (order, code) pairs."""
+    if not total:
+        yield ()
+    for k in range(k, min(total, largest) + 1):
+        codes = _connected_level(k)
+        for j in range(i, len(codes)):
+            for rest in _multisets(total - k, k, j, largest):
+                yield (k, codes[j]), *rest
+        i = 0
+
+
+def _unions(n):
+    """Every disconnected graph on n vertices once per class: the disjoint
+    union of each multiset of two or more connected graphs, its parts in the
+    labelings of their codes side by side.  No union is labeled."""
+    for parts in _multisets(n, 1, 0, n - 1):
+        rows = []
+        for k, code in parts:
+            offset = len(rows)
+            rows += [row << offset for row in _unpack(k, code)]
+        g = Graph(n, tuple(rows))
+        g._connected = False
+        yield g
+
+
+def _all_graphs(n):
+    """Every graph on n vertices once per class: the connected level, in
+    canonical labeling and code order, then the unions."""
+    yield from _on_demand(_connected_level, n)
+    yield from _unions(n)
+
+
 @lru_cache(maxsize=None)
-def _all_level(n):
-    """Codes of all graphs on n vertices (connected or not), sorted."""
+def _connected_level(n):
+    """Codes of all connected graphs on n vertices, sorted: the connected
+    children of every graph on n - 1 vertices."""
     if n == 1:
         return (0,)
-    return _canonical_deletion(_on_demand(_all_level, n - 1),
+    return _canonical_deletion(_all_graphs(n - 1),
                                lambda g: _vertex_children(g, leaf_only=False))
 
 
@@ -286,7 +334,7 @@ def connected_graphs(n: int):
         raise ValueError("order must be at least 1")
     if n > CONNECTED_MAX_N:
         raise OrderTooLargeError(f"connected enumeration supports n <= {CONNECTED_MAX_N}, got {n}")
-    return filter(Graph.is_connected, _on_demand(_all_level, n))
+    return _on_demand(_connected_level, n)
 
 
 def connected_graphs_with_edges(n: int, m: int):

@@ -12,8 +12,7 @@ import time
 
 from hsograph.cli import run_verify_campaign
 from hsograph.enumeration import (
-    _all_level,
-    _on_demand,
+    _all_graphs,
     bicyclic_graphs,
     connected_graphs,
     trees,
@@ -238,7 +237,7 @@ def test_criterion_10_infrastructure(tmp_path):
     with _Criterion(10, 120, "graph6 round trips, canonical invariance, parallel determinism"):
         # round trips over everything enumerable at n <= 7
         for n in range(1, 8):
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 assert parse_graph6(g.to_graph6()).rows == g.rows
         for stream in (trees(7), unicyclic_graphs(7), bicyclic_graphs(7), connected_graphs(7)):
             for g in stream:
@@ -247,7 +246,7 @@ def test_criterion_10_infrastructure(tmp_path):
         # canonical invariance under 20 random relabelings per graph
         rng = random.Random(1234)
         for n in range(2, 8):
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 code = canonical_form(g)
                 edges = list(g.edges())
                 for _ in range(20):

@@ -9,11 +9,13 @@ import pytest
 from hsograph import enumeration
 from hsograph.enumeration import (
     InfeasibleEdgeCountError,
-    _all_level,
+    _all_graphs,
+    _connected_level,
     _edge_level,
     _on_demand,
     _orbit,
     _tree_level,
+    _unions,
     bicyclic_graphs,
     connected_graphs,
     connected_graphs_with_edges,
@@ -30,6 +32,7 @@ from hsograph.graph import (
     OrderTooLargeError,
     _canonical_code_order,
     canonical_form,
+    _sweep_connected,
     canonical_relabel,
     parse_graph6,
 )
@@ -59,7 +62,15 @@ class TestCounts:
 
     def test_all_graph_levels_match_cycle_index(self):
         for n in range(1, 9):
-            assert len(_all_level(n)) == oracles.unlabeled_graph_count(n)
+            assert len(list(_all_graphs(n))) == oracles.unlabeled_graph_count(n)
+
+    def test_unions_are_the_disconnected_classes(self):
+        # A000088(n) - A001349(n) graphs, none connected, no two isomorphic
+        for n in range(1, 8):
+            unions = list(_unions(n))
+            assert len(unions) == oracles.unlabeled_graph_count(n) - oracles.connected_count(n)
+            assert not any(_sweep_connected(g.rows) for g in unions)
+            assert len({canonical_form(g) for g in unions}) == len(unions)
 
     def test_unique_bicyclic_on_four(self):
         graphs = list(connected_graphs_with_edges(4, 5))
@@ -105,7 +116,7 @@ class TestStreamProperties:
         for n in range(2, 8):
             codes = [canonical_form(g) for g in connected_graphs(n)]
             assert len(codes) == len(set(codes))
-        for stream in (_on_demand(_all_level, 7), trees(9), unicyclic_graphs(8), bicyclic_graphs(8)):
+        for stream in (_all_graphs(7), trees(9), unicyclic_graphs(8), bicyclic_graphs(8)):
             codes = [canonical_form(g) for g in stream]
             assert len(codes) == len(set(codes))
 
@@ -166,10 +177,10 @@ class TestStreamProperties:
 
 
 def _contract_levels():
-    """(level, args) of all graphs to n = 7, trees to n = 10 and the
-    bicyclic chain (trees, unicyclic, bicyclic) to n = 8."""
+    """(level, args) of the connected graphs to n = 7, trees to n = 10 and
+    the bicyclic chain (trees, unicyclic, bicyclic) to n = 8."""
     for n in range(1, 8):
-        yield _all_level, (n,)
+        yield _connected_level, (n,)
     for n in range(1, 11):
         yield _tree_level, (n,)
     for n in range(4, 9):
@@ -195,6 +206,12 @@ class TestLevelContract:
                 assert canonical_form(g) == CanonicalForm(n, code)
                 assert g == canonical_relabel(g)
 
+    def test_graphs_are_connected(self):
+        # each stream presets the connectivity memo, so it must be true
+        for level, args in _contract_levels():
+            for g in _on_demand(level, *args):
+                assert g._connected and _sweep_connected(g.rows)
+
 
 def _image(mask, perm):
     return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
@@ -206,7 +223,7 @@ class TestAutomorphismGenerators:
 
     def test_generators_are_automorphisms(self):
         for n in range(1, 7):
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 _, _, generators = _canonical_code_order(g.rows, n)
                 for perm in generators:
                     assert sorted(perm) == list(range(n))
@@ -214,7 +231,7 @@ class TestAutomorphismGenerators:
 
     def test_orbits_match_brute_force(self):
         for n in range(1, 7):
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 _, _, generators = _canonical_code_order(g.rows, n)
                 group = [p for p in permutations(range(n))
                          if oracles.reference_relabel_rows(g.rows, p) == g.rows]
@@ -235,11 +252,11 @@ class TestLabelingBudget:
         """One labeling per Aut(parent) orbit of the children that pass the
         invariants, plus one for the group of each parent with two or more.
         Each count covers the levels its call builds beyond those already
-        cached: level 8 of all graphs, the bicyclic n = 9 chain from the
-        trees up, then the tree levels 10..12."""
-        for level in (_all_level, _tree_level, _edge_level):
+        cached: level 8 of the connected graphs, the bicyclic n = 9 chain
+        from the trees up, then the tree levels 10..12."""
+        for level in (_connected_level, _tree_level, _edge_level):
             level.cache_clear()
-        _all_level(7)
+        _connected_level(7)
         calls = 0
         label = enumeration._canonical_code_order
 
@@ -249,7 +266,7 @@ class TestLabelingBudget:
             return label(rows, n)
 
         monkeypatch.setattr(enumeration, "_canonical_code_order", counted)
-        for build, budget in ((lambda: _all_level(8), 14_500),
+        for build, budget in ((lambda: _connected_level(8), 13_000),
                               (lambda: list(bicyclic_graphs(9)), 2_062),
                               (lambda: list(trees(12)), 1_500)):
             calls = 0

@@ -37,7 +37,7 @@ from hsograph.graph import (
     from_edge_list,
     parse_graph6,
 )
-from hsograph.enumeration import _all_level, _on_demand, connected_graphs, graphs_in_class
+from hsograph.enumeration import _all_graphs, connected_graphs, graphs_in_class
 from hsograph.families import build, complete, cycle, sdprime, star
 from hsograph.indices import _pair_term, _profile, _profile_pass, edge_term, hso
 
@@ -76,7 +76,7 @@ class TestConstruction:
             from_edge_list(3, [(0, 1), (1, 0)])
 
     def test_handshake_over_enumerated(self):
-        for g in _on_demand(_all_level, 6):
+        for g in _all_graphs(6):
             assert sum(g.degrees) == 2 * g.m
 
 
@@ -97,12 +97,12 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<Bw").rows == parse_graph6("Bw").rows
 
     def test_round_trip_labeled(self):
-        for g in _on_demand(_all_level, 5):
+        for g in _all_graphs(5):
             assert parse_graph6(g.to_graph6()).rows == g.rows
 
     def test_round_trip_strings(self):
         # the decoded text is already the encoding, so it is kept as the memo
-        for g in _on_demand(_all_level, 6):
+        for g in _all_graphs(6):
             s = g.to_graph6()
             parsed = parse_graph6(s)
             assert parsed._graph6 == s == _encode_graph6(parsed.rows)
@@ -119,7 +119,7 @@ class TestGraph6:
         assert parse_graph6(g.to_graph6()).rows == g.rows
 
     def test_matches_networkx(self):
-        for g in _on_demand(_all_level, 6):
+        for g in _all_graphs(6):
             mine = g.to_graph6()
             theirs = nx.from_graph6_bytes(mine.encode())
             assert set(theirs.edges()) == set(g.edges())
@@ -236,7 +236,7 @@ class TestMutation:
 def _memo_graphs():
     """Every graph with n <= 7, connected or not, and seeded random graphs
     at n = 10..16 from sparse to dense."""
-    yield from (g for n in range(1, 8) for g in _on_demand(_all_level, n))
+    yield from (g for n in range(1, 8) for g in _all_graphs(n))
     rng = random.Random(14)
     for n in range(10, 17):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -369,7 +369,7 @@ class TestCanonicalForm:
     def test_invariance_random_relabelings(self):
         rng = random.Random(2024)
         for n in range(2, 7):
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 code = canonical_form(g)
                 for _ in range(20):
                     assert canonical_form(_random_relabel(g, rng)) == code
@@ -380,7 +380,7 @@ class TestCanonicalForm:
         for n in range(2, 7):
             mapping = {}
             rng = random.Random(99)
-            for g in _on_demand(_all_level, n):
+            for g in _all_graphs(n):
                 for h in [g, _random_relabel(g, rng)]:
                     brute = oracles.brute_min_code(h.n, list(h.edges()))
                     mine = canonical_form(h)
@@ -394,21 +394,21 @@ class TestCanonicalForm:
             out.add_edges_from(g.edges())
             return out
 
-        graphs = list(_on_demand(_all_level, 5))
+        graphs = list(_all_graphs(5))
         for i, g in enumerate(graphs):
             for h in graphs[i + 1:]:
-                # the enumerated level is duplicate-free, so networkx must
+                # the enumerated graphs are duplicate-free, so networkx must
                 # agree that all pairs are non-isomorphic
                 assert not nx.is_isomorphic(to_nx(g), to_nx(h))
 
     def test_relabel_is_stable(self):
-        for g in _on_demand(_all_level, 5):
+        for g in _all_graphs(5):
             c = canonical_relabel(g)
             assert canonical_form(c) == canonical_form(g)
             assert canonical_relabel(c).rows == c.rows
 
     def test_relabel_matches_reference(self):
-        # every graph with n <= 7, in its canonical labeling and relabeled,
+        # every graph with n <= 7, as enumerated and relabeled,
         # and seeded random graphs at n = 10..16
         rng = random.Random(15)
         for g in _memo_graphs():
@@ -428,7 +428,7 @@ def _refinement_graphs():
     8 to 15 set the top count plane: K16, K1,15, K8,8, the complement of C16
     and one whose root order that plane decides."""
     for n in range(1, 8):
-        yield from _on_demand(_all_level, n)
+        yield from _all_graphs(n)
     rng = random.Random(16)
     for n in range(9, 17):
         for chords in (0, n // 2, 2 * n):

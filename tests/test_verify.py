@@ -79,6 +79,16 @@ class TestSandwich:
         assert check_sandwich(build(star(5))).structural_class == "heavy-independent"
         assert len(sweeps) == 1
 
+    def test_no_sweep_over_the_connected_stream(self, monkeypatch):
+        # every streamed graph comes with its connectivity known
+        def fail(rows):
+            raise AssertionError("connectivity swept")
+
+        monkeypatch.setattr(graph, "_sweep_connected", fail)
+        for n in range(2, 8):
+            for g in connected_graphs(n):
+                assert check_theorem("sandwich", g).holds
+
     def test_cycle_attains_both(self):
         r = check_sandwich(build(cycle(6)))
         assert r.holds and r.consistent
