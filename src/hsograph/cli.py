@@ -5,8 +5,8 @@ search kind, each taking only the options its command reads.
 
 Exit codes: 0 clean, 1 theorem violation or inconsistency, 2 usage or I/O
 error, 3 conjecture counterexample found.  Output files embed a header with
-the tool version, tolerance and check identifier; rows are sorted so that
-identical runs (at any worker count) produce byte-identical files.
+the tool version, tolerance and check identifier; rows come in stream order,
+so identical runs (at any worker count) produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 
 from . import __version__
 from .enumeration import InfeasibleEdgeCountError, connected_graphs_with_edges, graphs_in_class
 from .families import InvalidParametersError, build, parse_family
-from .graph import CLASSES, Graph, GraphError, parse_graph6
+from .graph import CLASSES, Graph, Graph6Error, OrderTooLargeError, parse_graph6
 from .indices import hso
 from .search import (
-    MONOTONICITY_MAX_N,
     CampaignSummary,
     MonotonicityWitness,
     conjecture_sweep,
@@ -41,6 +40,7 @@ from .verify import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCE,
     THEOREMS,
+    OrderTooSmallError,
     check_pendant_split_monotone,
     check_theorem,
 )
@@ -346,8 +346,6 @@ def cmd_f_monotone(args) -> int:
     """Decide pendant-split monotonicity at each order: no graphs, so no report rows."""
     start = time.perf_counter()
     n_lo, n_hi = args.n
-    if n_lo < 5:
-        raise UsageError("f-monotone needs n >= 5")
     failed = [n for n in range(n_lo, n_hi + 1) if not check_pendant_split_monotone(n)]
     # the header keeps the default tolerance that the theorem checks print
     meta = {"check": "f-monotone", "tolerance": DEFAULT_TOLERANCE, "n": f"{n_lo}..{n_hi}"}
@@ -363,25 +361,22 @@ def cmd_f_monotone(args) -> int:
 
 
 def cmd_monotonicity(args) -> int:
-    if args.n_max < 3:
-        raise UsageError(f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}")
     witnesses = find_monotonicity_counterexamples(args.n_max, args.tolerance, args.jobs)
     if args.target_delta is not None:
         witnesses = witnesses_with_delta(witnesses, args.target_delta, args.tolerance)
+    # zip draws from tally only after a witness, so next(tally) is then how many were written
+    tally = count()
     meta = {"check": "monotonicity", "tolerance": args.tolerance, "n_max": args.n_max}
     with _output(args.out) as fh:
-        _write_items(fh, witnesses, args.format, meta, "witnesses",
+        _write_items(fh, (w for w, _ in zip(witnesses, tally)), args.format, meta, "witnesses",
                      MonotonicityWitness.CSV_COLUMNS)
-    print(f"monotonicity: {len(witnesses)} witnesses", file=sys.stderr)
+    print(f"monotonicity: {next(tally)} witnesses", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
     n_lo, n_hi = args.n
     _check_large("connected", n_hi, args.allow_large)
-    min_n = THEOREMS["star-max"].min_n
-    if n_lo < min_n:
-        raise UsageError(f"conjecture sweep needs n >= {min_n}")
     summaries = []
     for summary in conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs):
         n = summary.n_lo
@@ -500,8 +495,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (UsageError, GraphError, InvalidParametersError, InfeasibleEdgeCountError,
-            OSError) as exc:
+    # only what input can cause: any other error is a fault and keeps its traceback
+    except (UsageError, Graph6Error, OrderTooLargeError, OrderTooSmallError,
+            InvalidParametersError, InfeasibleEdgeCountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

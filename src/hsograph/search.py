@@ -6,6 +6,7 @@ reports the star-max theorem of verify.THEOREMS order by order, and the
 per-order extremal tables cross-checked against the characterized families.
 Each one maps sweep over the chained stream of its orders and folds each
 result as it comes, so none holds a whole level; g.n tells the orders apart.
+The monotonicity hunt returns an iterator of its witnesses, in stream order.
 """
 
 from __future__ import annotations
@@ -125,28 +126,27 @@ def _edge_drops(g, tolerance: float) -> list[MonotonicityWitness]:
 
 def find_monotonicity_counterexamples(
     n_max: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1
-) -> list[MonotonicityWitness]:
-    """All (connected G, non-edge uv) with HSO(G + uv) < HSO(G) - tolerance,
-    over every connected graph with at most n_max vertices.
+):
+    """Iterate over all (connected G, non-edge uv) with HSO(G + uv) < HSO(G) -
+    tolerance, over every connected graph with at most n_max vertices.
 
-    Witness graphs are emitted in their canonical labeling, so the pairs are
-    reproducible and the before graph can be recovered from the after graph
-    by removing the recorded edge.  They come in the stream's own order,
-    which is (graph6_before, added_edge) order.
+    n_max is checked when called; nothing is built until the iterator is.
+    graph6_before is G in its canonical labeling and graph6_after is that
+    labeling plus uv, so the pairs are reproducible and the before graph is
+    the after graph less the recorded edge.  The witnesses come in the
+    stream's own order, which is (graph6_before, added_edge) order.
     """
     if not 3 <= n_max <= MONOTONICITY_MAX_N:
         error = OrderTooSmallError if n_max < 3 else OrderTooLargeError
         raise error(f"monotonicity search supports 3 <= n_max <= {MONOTONICITY_MAX_N}")
     stream = chain.from_iterable(connected_graphs(n) for n in range(3, n_max + 1))
     drops = partial(_edge_drops, tolerance=tolerance)
-    return [w for _, found in sweep(drops, stream, jobs) for w in found]
+    return (w for _, found in sweep(drops, stream, jobs) for w in found)
 
 
-def witnesses_with_delta(
-    witnesses: list[MonotonicityWitness], target_delta: float, tolerance: float = DEFAULT_TOLERANCE
-) -> list[MonotonicityWitness]:
-    """Filter witnesses whose HSO drop matches a target value."""
-    return [w for w in witnesses if abs(w.delta - target_delta) <= tolerance]
+def witnesses_with_delta(witnesses, target_delta: float, tolerance: float = DEFAULT_TOLERANCE):
+    """Iterate over the witnesses whose HSO drop matches a target value."""
+    return (w for w in witnesses if abs(w.delta - target_delta) <= tolerance)
 
 
 def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1):

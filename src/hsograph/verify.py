@@ -61,11 +61,11 @@ class NotBicyclicError(ValueError):
     pass
 
 
-class OrderTooSmallError(ValueError):
+class DomainViolationError(ValueError):
     pass
 
 
-class DomainViolationError(ValueError):
+class OrderTooSmallError(DomainViolationError):
     pass
 
 
@@ -327,7 +327,7 @@ def check_pendant_split_monotone(n: int) -> bool:
     in x and never increases on the domain iff its slope at x = hi is <= 0.
     """
     if n < 5:
-        raise DomainViolationError("the split weight needs n >= 5")
+        raise OrderTooSmallError("f-monotone needs n >= 5")
     return _split_slope_nonpositive((n - 3) // 2, n)
 
 

@@ -208,7 +208,7 @@ def test_criterion_7_pendant_split_monotone():
 
 def test_criterion_8_monotonicity_reproduction():
     with _Criterion(8, 10, "edge addition can lower HSO; triangle pair found"):
-        witnesses = find_monotonicity_counterexamples(5, REL_TOL)
+        witnesses = list(find_monotonicity_counterexamples(5, REL_TOL))
         assert witnesses
         expected_delta = 3 * math.sqrt(2) - 2 * math.sqrt(5)
         path3_code = canonical_form(build(path(3)))

@@ -24,7 +24,7 @@ from hsograph.cli import (
     run_verify_campaign,
 )
 from hsograph.families import build, star
-from hsograph.graph import canonical_form, parse_graph6
+from hsograph.graph import EdgeAbsentError, canonical_form, parse_graph6
 from hsograph.search import conjecture_sweep, extremal_table, find_monotonicity_counterexamples
 
 
@@ -212,11 +212,15 @@ class TestErrorExits:
         (("search", "conjecture", "--n", "1..3"), "conjecture sweep needs n >= 2"),
         (("search", "monotonicity", "--n-max", "2"),
          "monotonicity search supports 3 <= n_max <= 8"),
+        (("verify", "f-monotone", "--n", "4..9"), "f-monotone needs n >= 5"),
     ])
-    def test_order_below_floor_fails_before_any_work(self, argv, message, no_work, capsys):
-        # the bottom order is below its class floor: no level is built
-        assert run_cli(*argv) == EXIT_USAGE
+    def test_order_below_floor_fails_before_any_work(self, argv, message, no_work, tmp_path,
+                                                     capsys):
+        # the bottom order is below its class floor: no level is built, no file opened
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
         (("search", "conjecture", "--n", "4", "--class", "tree"), "--class"),
@@ -266,6 +270,16 @@ class TestErrorExits:
         with pytest.raises(ValueError, match="internal fault"):
             run_cli("verify", "sandwich", "--n", "3..4")
 
+    def test_internal_graph_error_propagates(self, monkeypatch):
+        # a graph error that no input can cause is a fault, not a usage error
+        def faulty(theorem, g, tolerance):
+            raise EdgeAbsentError("edge (0, 1) not present")
+
+        record = verify.THEOREMS["sandwich"]
+        monkeypatch.setitem(verify.THEOREMS, "sandwich", record._replace(checker=faulty))
+        with pytest.raises(EdgeAbsentError, match=r"edge \(0, 1\) not present"):
+            run_cli("verify", "sandwich", "--n", "3..4")
+
 
 class TestSearch:
     def test_monotonicity_includes_triangle_pair(self, capsys):
@@ -273,6 +287,28 @@ class TestSearch:
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if not line.startswith("#")]
         assert "BW Bw" in lines
+
+    def test_monotonicity_writes_each_witness_as_it_comes(self, tmp_path, monkeypatch):
+        # the search fails on its first n = 5 graph: every earlier witness is
+        # already written, under the header of the run that failed
+        whole = tmp_path / "n4.csv"
+        assert run_cli("search", "monotonicity", "--n-max", "4", "--format", "csv",
+                       "--jobs", "1", "--out", str(whole)) == EXIT_OK
+        edge_drops = search._edge_drops
+
+        def fail_at_five(g, tolerance):
+            if g.n == 5:
+                raise RuntimeError("planted fault at n = 5")
+            return edge_drops(g, tolerance)
+
+        monkeypatch.setattr(search, "_edge_drops", fail_at_five)
+        out = tmp_path / "n5.csv"
+        with pytest.raises(RuntimeError, match="planted fault"):
+            run_cli("search", "monotonicity", "--n-max", "5", "--format", "csv",
+                    "--jobs", "1", "--out", str(out))
+        expected = whole.read_text().replace("n_max=4", "n_max=5", 1)
+        assert expected.count("\n") > 2  # a header line, the column names and witnesses
+        assert out.read_text() == expected
 
     def test_monotonicity_json(self, tmp_path):
         out = tmp_path / "witnesses.json"
@@ -515,7 +551,7 @@ class TestStreamedCampaign:
         # no items only the header lines remain, as verify f-monotone writes
         graphs = list(enumeration.connected_graphs(5))[:count]
         reports = [verify.check_theorem("sandwich", g) for g in graphs]
-        witnesses = find_monotonicity_counterexamples(5)[:count]
+        witnesses = list(find_monotonicity_counterexamples(5))[:count]
         assert len(reports) == len(witnesses) == count
         meta = {"check": "sandwich", "tolerance": 1e-9, "n": "5..5"}
         header = f"# {cli._TOOL} check=sandwich tolerance=1e-09 n=5..5\n"

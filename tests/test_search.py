@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from hsograph import search, verify
+from hsograph import enumeration, search, verify
 from hsograph.enumeration import connected_graphs
 from hsograph.families import build, closed_form_hso, cycle, is_member, path, sdprime, sprime, star
 from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list, parse_graph6
@@ -25,7 +25,7 @@ P3_TO_TRIANGLE_DELTA = 3 * math.sqrt(2) - 2 * math.sqrt(5)
 
 class TestMonotonicity:
     def test_smallest_order_yields_exactly_the_triangle_pair(self):
-        witnesses = find_monotonicity_counterexamples(3)
+        witnesses = list(find_monotonicity_counterexamples(3))
         assert len(witnesses) == 1
         w = witnesses[0]
         before = parse_graph6(w.graph6_before)
@@ -40,7 +40,7 @@ class TestMonotonicity:
             assert parse_graph6(w.graph6_after).is_connected()
 
     def test_revalidation(self):
-        witnesses = find_monotonicity_counterexamples(5)
+        witnesses = list(find_monotonicity_counterexamples(5))
         assert witnesses  # non-empty at n_max = 5
         assert all(revalidate_witness(w) for w in witnesses)
 
@@ -52,13 +52,13 @@ class TestMonotonicity:
             assert canonical_form(restored) == canonical_form(parse_graph6(w.graph6_before))
 
     def test_sorted_output(self):
-        witnesses = find_monotonicity_counterexamples(5)
+        witnesses = list(find_monotonicity_counterexamples(5))
         keys = [(w.graph6_before, w.added_edge) for w in witnesses]
         assert keys == sorted(keys)
 
     def test_delta_filter(self):
-        witnesses = find_monotonicity_counterexamples(5)
-        subset = witnesses_with_delta(witnesses, P3_TO_TRIANGLE_DELTA, 1e-9)
+        witnesses = list(find_monotonicity_counterexamples(5))
+        subset = list(witnesses_with_delta(witnesses, P3_TO_TRIANGLE_DELTA, 1e-9))
         assert subset and all(abs(w.delta - P3_TO_TRIANGLE_DELTA) <= 1e-9 for w in subset)
         # the drop reported for the figure-only example elsewhere; no claim it
         # occurs at these orders, only that the filter behaves
@@ -70,6 +70,16 @@ class TestMonotonicity:
             find_monotonicity_counterexamples(2)
         with pytest.raises(OrderTooLargeError):
             find_monotonicity_counterexamples(9)
+
+    def test_levels_built_only_when_iterated(self, monkeypatch):
+        # test_order_caps shows that n_max is checked at the call
+        def fail(*args, **kwargs):
+            raise AssertionError("a level built before the witnesses were drawn")
+
+        monkeypatch.setattr(enumeration, "_connected_level", fail)
+        witnesses = find_monotonicity_counterexamples(8)
+        with pytest.raises(AssertionError, match="a level built"):
+            next(witnesses)
 
 
 class TestConjectureSweep:
