@@ -150,8 +150,9 @@ def witnesses_with_delta(witnesses, target_delta: float, tolerance: float = DEFA
 
 
 def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1):
-    """Yield one summary per order n_lo..n_hi of the star-max theorem checked
-    on every connected graph of that order, all through one worker pool.
+    """Iterate over one summary per order n_lo..n_hi of the star-max theorem
+    checked on every connected graph of that order, all through one worker pool.
+    The orders are checked when called; nothing is built until the iterator is.
 
     A report above the star's value ("exceeds"), or meeting it off the star
     ("inconsistent"), would be a major find: it lands in summary.violations.
@@ -159,26 +160,29 @@ def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE,
     min_n = THEOREMS["star-max"].min_n
     if n_lo < min_n:
         raise OrderTooSmallError(f"conjecture sweep needs n >= {min_n}")
-    # every order is checked before the first level is built
     levels = [connected_graphs(n) for n in range(n_lo, n_hi + 1)]
     check = partial(check_theorem, "star-max", tolerance=tolerance)
     results = sweep(check, chain.from_iterable(levels), jobs)
-    for n, level in groupby(results, key=lambda result: result[0].n):
-        summary = CampaignSummary("search:conjecture", "connected", n, n)
-        best = None
-        for _, r in level:
-            summary.graphs_examined += 1
-            if not (r.holds and r.consistent):
-                summary.violations.append({"graph6": r.graph6, "value": r.value,
-                                           "star_value": r.bound_upper,
-                                           "reason": "inconsistent" if r.holds else "exceeds"})
-            # max keeps the first greatest report, in stream order
-            best = max(best or r, r, key=attrgetter("value"))
-        summary.extremal_max[n] = (best.graph6, best.value)
-        summary.details["star_value"] = best.bound_upper
-        # star-max bounds only the upper side, so any structural tag is the star
-        summary.details["maximizer_is_star"] = best.structural_class != "none"
-        yield summary
+    return (_star_summary(n, level) for n, level in groupby(results, key=lambda result: result[0].n))
+
+
+def _star_summary(n: int, level) -> CampaignSummary:
+    """Fold the (graph, star-max report) pairs of the connected graphs of order n."""
+    summary = CampaignSummary("search:conjecture", "connected", n, n)
+    best = None
+    for _, r in level:
+        summary.graphs_examined += 1
+        if not (r.holds and r.consistent):
+            summary.violations.append({"graph6": r.graph6, "value": r.value,
+                                       "star_value": r.bound_upper,
+                                       "reason": "inconsistent" if r.holds else "exceeds"})
+        # max keeps the first greatest report, in stream order
+        best = max(best or r, r, key=attrgetter("value"))
+    summary.extremal_max[n] = (best.graph6, best.value)
+    summary.details["star_value"] = best.bound_upper
+    # star-max bounds only the upper side, so any structural tag is the star
+    summary.details["maximizer_is_star"] = best.structural_class != "none"
+    return summary
 
 
 def check_conjecture_star_max(

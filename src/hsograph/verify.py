@@ -73,39 +73,13 @@ class UnknownCheckError(ValueError):
     pass
 
 
-class TheoremReport:
-    """Outcome of checking one theorem on one graph.  Reports compare equal
-    when every field does, and are unhashable: a checker may set the note."""
+class TheoremReport(namedtuple("TheoremReport", "theorem graph6 n value bound_lower bound_upper "
+                               "holds equality_lower equality_upper structural_class "
+                               "consistent note", defaults=("",))):
+    """Outcome of checking one theorem on one graph, complete as the checker
+    makes it."""
 
-    __slots__ = ("theorem", "graph6", "n", "value", "bound_lower", "bound_upper", "holds",
-                 "equality_lower", "equality_upper", "structural_class", "consistent", "note")
-
-    def __init__(self, theorem: str, graph6: str, n: int, value: float,
-                 bound_lower: float | None, bound_upper: float | None, holds: bool,
-                 equality_lower: bool, equality_upper: bool, structural_class: str,
-                 consistent: bool, note: str = ""):
-        self.theorem = theorem
-        self.graph6 = graph6
-        self.n = n
-        self.value = value
-        self.bound_lower = bound_lower
-        self.bound_upper = bound_upper
-        self.holds = holds
-        self.equality_lower = equality_lower
-        self.equality_upper = equality_upper
-        self.structural_class = structural_class
-        self.consistent = consistent
-        self.note = note
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"TheoremReport({fields})"
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -214,11 +188,11 @@ def _class_bounds(theorem: str, g: Graph, tolerance: float) -> TheoremReport:
         matches.append((kind, kind is not None))
     report = _bounded_report(theorem, g, _profile(g)[0], lower, upper, *matches, tolerance)
     if theorem == "bicyclic-lower" and g.n < 6:
-        report.note = "bridged pair needs n >= 6; only merged pairs exist"
-    elif theorem == "unicyclic-bounds" and g.n <= 4 and report.equality_upper:
+        return report._replace(note="bridged pair needs n >= 6; only merged pairs exist")
+    if theorem == "unicyclic-bounds" and g.n <= 4 and report.equality_upper:
         # At n <= 4 the maximizer family degenerates (sprime:3 is the
         # triangle); record the fact instead of treating it as a finding.
-        report.note = "upper equality at degenerate order"
+        return report._replace(note="upper equality at degenerate order")
     return report
 
 

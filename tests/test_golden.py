@@ -150,9 +150,12 @@ def test_golden_bytes_with_workers(argv, tmp_path):
     assert _digest(argv, tmp_path, jobs=2) == GOLDEN[argv]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("argv", list(GOLDEN_NOTES), ids=" ".join)
-def test_golden_notes(argv, tmp_path):
-    assert _out_digest([*argv, "--format", "json", "--jobs", "1"], tmp_path) == GOLDEN_NOTES[argv]
+def test_golden_notes(argv, jobs, tmp_path):
+    # each note is set as its report is made, in a worker at --jobs 2
+    assert (_out_digest([*argv, "--format", "json", "--jobs", str(jobs)], tmp_path)
+            == GOLDEN_NOTES[argv])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -13,6 +13,7 @@ from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list, p
 from hsograph.indices import hso
 from hsograph.search import (
     check_conjecture_star_max,
+    conjecture_sweep,
     extremal_table,
     find_monotonicity_counterexamples,
     revalidate_witness,
@@ -122,6 +123,20 @@ class TestConjectureSweep:
             check_conjecture_star_max(1)
         with pytest.raises(OrderTooLargeError):
             check_conjecture_star_max(10)
+
+    def test_range_checked_when_called_and_levels_built_when_iterated(self, monkeypatch):
+        with pytest.raises(verify.OrderTooSmallError):
+            conjecture_sweep(1, 3)
+        with pytest.raises(OrderTooLargeError):
+            conjecture_sweep(2, 10)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a level built before the summaries were drawn")
+
+        monkeypatch.setattr(enumeration, "_connected_level", fail)
+        summaries = conjecture_sweep(5, 8)
+        with pytest.raises(AssertionError, match="a level built"):
+            next(summaries)
 
     def test_summary_serialization(self):
         assert "wall_time" not in check_conjecture_star_max(4).to_dict()
