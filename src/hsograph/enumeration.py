@@ -10,8 +10,19 @@ levels (Harary and Palmer, Graphical Enumeration, 1973), and never labeled.
 No class is lost: in a connected child the canonical deletion vertex meets
 every component of what its deletion leaves.  The component test is
 invariant under Aut(parent), so the sibling filter below still sees whole
-orbits.  Trees come from trees plus a leaf.  Connected graphs with m edges come
-from those with m-1 edges plus one non-edge, starting at the trees.
+orbits.
+
+A class level (trees, unicyclic or bicyclic graphs) comes from the same
+class one order below plus a leaf, and from its leafless members, added
+as seeds.  In a class graph with a leaf the minimum degree is 1, so the
+canonical deletion vertex is a leaf, and deleting a leaf keeps the graph
+connected and its cyclomatic number unchanged.  The leafless members have
+minimum degree at least 2 and so are the subdivisions of the class's
+kernels: none for trees past n = 1, the cycle for unicyclic graphs, and
+for bicyclic graphs the theta graphs and two cycles joined by a path (of
+length 0 in the figure-eight).  Each seed is labeled once.  Connected
+graphs with m edges, for m above the bicyclic count n + 1, come from those
+with m-1 edges plus one non-edge, starting at the bicyclic level.
 
 A class of graph.CLASSES is its cyclomatic number m - n + 1, the class's
 index in that one tuple.  So graphs_in_class streams a class as the
@@ -24,7 +35,7 @@ remove again, up to automorphism:
 - Vertex rule: the canonical deletion vertex is chosen among the vertices of
   minimum degree, then those with the largest sum of neighbour degrees, then
   the one with the last canonical position.  Deleting any vertex leaves a
-  graph, and deleting a minimum-degree vertex of a tree leaves a tree.
+  graph, and deleting a leaf of a class graph leaves one of the same class.
 - Edge rule: the canonical deletable edge is chosen among the cycle edges
   (whose removal keeps the graph connected) with the largest sorted pair of
   endpoint degrees, then by the last canonical position.
@@ -167,9 +178,11 @@ def _min_degree_masks(degrees):
 
 
 def _vertex_children(parent, leaf_only):
-    """Children with a last vertex joined to a neighbour mask (a single old
-    vertex when leaf_only is set) that meets every component of the parent,
-    so the child is connected, and passes the vertex rule's invariants."""
+    """Children with a last vertex joined to a neighbour mask that meets
+    every component of the parent, so the child is connected, and passes the
+    vertex rule's invariants.  With leaf_only set the mask is a single old
+    vertex of a connected parent: the new vertex is a leaf, and the child
+    keeps the parent's class."""
     x = parent.n
     top = 1 << x
     if leaf_only:
@@ -311,20 +324,63 @@ def _connected_level(n):
                                lambda g: _vertex_children(g, leaf_only=False))
 
 
+def _subdivision(k, paths):
+    """Rows of the graph on kernel vertices 0..k-1 joined by paths (start,
+    end, length), each path's inner vertices new; start == end closes a
+    cycle."""
+    rows = [0] * (k + sum(length - 1 for _, _, length in paths))
+    fresh = k
+    for start, end, length in paths:
+        walk = [start, *range(fresh, fresh + length - 1), end]
+        fresh += length - 1
+        for u, v in zip(walk, walk[1:]):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+def _leafless(n, index):
+    """Codes of the connected graphs on n >= 2 vertices with cyclomatic
+    number index and minimum degree at least 2, sorted: none for trees, the
+    cycle C_n for unicyclic graphs, and for bicyclic graphs the theta graphs
+    (paths of lengths a <= b <= c, b >= 2, between two vertices) and the
+    cycles C_p, C_q (3 <= p <= q) joined by a path of length l >= 0, where
+    a + b + c = p + q + l = n + 1."""
+    seeds = []
+    if index == 1 and n >= 3:
+        seeds.append((1, [(0, 0, n)]))
+    if index == 2:
+        for a in range(1, n):
+            for b in range(max(a, 2), (n + 1 - a) // 2 + 1):
+                seeds.append((2, [(0, 1, a), (0, 1, b), (0, 1, n + 1 - a - b)]))
+        for p in range(3, n):
+            for q in range(p, n + 2 - p):
+                l = n + 1 - p - q
+                k, bridge = (1, []) if l == 0 else (2, [(0, 1, l)])
+                seeds.append((k, [(0, 0, p), (k - 1, k - 1, q), *bridge]))
+    return tuple(sorted(_canonical_code_order(_subdivision(k, paths), n)[0]
+                        for k, paths in seeds))
+
+
 @lru_cache(maxsize=None)
-def _tree_level(n):
-    """Codes of all free trees on n vertices via leaf attachment, sorted."""
+def _class_level(n, index):
+    """Codes of all connected graphs on n vertices with cyclomatic number
+    index < len(CLASSES), sorted: the class level below plus a leaf, and the
+    leafless members."""
     if n == 1:
-        return (0,)
-    return _canonical_deletion(_on_demand(_tree_level, n - 1),
-                               lambda g: _vertex_children(g, leaf_only=True))
+        return () if index else (0,)
+    grown = _canonical_deletion(_on_demand(_class_level, n - 1, index),
+                                lambda g: _vertex_children(g, leaf_only=True))
+    return tuple(sorted(grown + _leafless(n, index)))
 
 
 @lru_cache(maxsize=None)
 def _edge_level(n, m):
-    """Codes of all connected graphs on n vertices with m >= n - 1 edges, sorted."""
-    if m == n - 1:
-        return _tree_level(n)
+    """Codes of all connected graphs on n vertices with m >= n - 1 edges,
+    sorted: a class level, or above the bicyclic one the level with m - 1
+    edges plus one edge."""
+    if m - n + 1 < len(CLASSES):
+        return _class_level(n, m - n + 1)
     return _canonical_deletion(_on_demand(_edge_level, n, m - 1), _edge_children)
 
 

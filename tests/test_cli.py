@@ -182,7 +182,7 @@ class TestErrorExits:
         def fail(*args, **kwargs):
             raise AssertionError("work done before the order check")
 
-        for name in ("_connected_level", "_tree_level", "_edge_level"):
+        for name in ("_connected_level", "_class_level", "_edge_level"):
             monkeypatch.setattr(enumeration, name, fail)
         monkeypatch.setattr(cli, "check_theorem", fail)
 

@@ -10,12 +10,16 @@ from hsograph import enumeration
 from hsograph.enumeration import (
     InfeasibleEdgeCountError,
     _all_graphs,
+    _canonical_deletion,
+    _class_level,
     _connected_level,
+    _edge_children,
     _edge_level,
+    _leafless,
     _on_demand,
     _orbit,
-    _tree_level,
     _unions,
+    _unpack,
     bicyclic_graphs,
     connected_graphs,
     connected_graphs_with_edges,
@@ -44,7 +48,8 @@ TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]          # n = 1..12
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]                 # n = 1..8
 UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806,
                     12: 5026}
-BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678}
+BICYCLIC_COUNTS = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833,
+                   12: 28908}
 
 
 class TestCounts:
@@ -176,16 +181,40 @@ class TestStreamProperties:
             assert parse_graph6(g.to_graph6()).rows == g.rows
 
 
+class TestClassLevels:
+    """Each class level is the class one order below plus a leaf, and its
+    leafless members as seeds."""
+
+    def test_leaf_route_equals_edge_route(self):
+        # the edge rule, applied from the trees up, builds the same levels
+        for n in range(1, 11):
+            codes = _class_level(n, 0)
+            for index in range(1, len(CLASSES)):
+                codes = _canonical_deletion(_on_demand(lambda _, parent=codes: parent, n),
+                                            _edge_children)
+                assert _class_level(n, index) == codes
+
+    def test_seeds_are_the_leafless_members(self):
+        for n in range(2, 13):
+            for index in range(len(CLASSES)):
+                seeds = _leafless(n, index)
+                assert len(set(seeds)) == len(seeds)
+                leafless = tuple(code for code in _class_level(n, index)
+                                 if min(row.bit_count() for row in _unpack(n, code)) >= 2)
+                assert seeds == leafless
+
+
 def _contract_levels():
-    """(level, args) of the connected graphs to n = 7, trees to n = 10 and
-    the bicyclic chain (trees, unicyclic, bicyclic) to n = 8."""
+    """(level, args) of the connected graphs to n = 7, each class (trees,
+    unicyclic, bicyclic) to n = 10, and the edge level one edge past the
+    bicyclic graphs to n = 8."""
     for n in range(1, 8):
         yield _connected_level, (n,)
-    for n in range(1, 11):
-        yield _tree_level, (n,)
+    for index in range(len(CLASSES)):
+        for n in range(1, 11):
+            yield _class_level, (n, index)
     for n in range(4, 9):
-        for m in range(n - 1, n + 2):
-            yield _edge_level, (n, m)
+        yield _edge_level, (n, n + 2)
 
 
 class TestLevelContract:
@@ -253,10 +282,11 @@ class TestLabelingBudget:
         invariants, plus one for the group of each parent with two or more.
         Each count covers the levels its call builds beyond those already
         cached: level 8 of the connected graphs, the bicyclic n = 9 chain
-        from the trees up, then the tree levels 10..12."""
-        for level in (_connected_level, _tree_level, _edge_level):
+        from K4 - e up, then the tree levels 10..12."""
+        for level in (_connected_level, _class_level, _edge_level):
             level.cache_clear()
         _connected_level(7)
+        _class_level(9, CLASSES.index(TREE))
         calls = 0
         label = enumeration._canonical_code_order
 
@@ -267,7 +297,7 @@ class TestLabelingBudget:
 
         monkeypatch.setattr(enumeration, "_canonical_code_order", counted)
         for build, budget in ((lambda: _connected_level(8), 13_000),
-                              (lambda: list(bicyclic_graphs(9)), 2_062),
+                              (lambda: list(bicyclic_graphs(9)), 1_600),
                               (lambda: list(trees(12)), 1_500)):
             calls = 0
             build()
