@@ -92,6 +92,17 @@ class InfeasibleEdgeCountError(ValueError):
     pass
 
 
+def _image(mask, image):
+    """The image of a vertex set, given as a bitmask, under a vertex map (a
+    sequence of vertex images)."""
+    moved = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        moved |= 1 << image[low.bit_length() - 1]
+    return moved
+
+
 def _orbit(mask, generators):
     """Images of a vertex set, given as a bitmask, under the group spanned
     by the generators (tuples of vertex images)."""
@@ -100,12 +111,7 @@ def _orbit(mask, generators):
     while frontier:
         current = frontier.pop()
         for image in generators:
-            moved = 0
-            rest = current
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                moved |= 1 << image[low.bit_length() - 1]
+            moved = _image(current, image)
             if moved not in orbit:
                 orbit.add(moved)
                 frontier.append(moved)
@@ -141,19 +147,10 @@ def _canonical_deletion(parents, children):
             if rivals:
                 # the canonical one is the tied set whose vertices sit last
                 # in the canonical order
-                bit = [0] * n
+                position = [0] * n
                 for p, v in enumerate(order):
-                    bit[v] = 1 << p
-                placed = {}
-                for mask in (new, *rivals):
-                    at = 0
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        at |= bit[low.bit_length() - 1]
-                    placed[mask] = at
-                chosen = max(placed, key=placed.get)
+                    position[v] = p
+                chosen = max((new, *rivals), key=lambda mask: _image(mask, position))
                 if chosen != new and new not in _orbit(chosen, generators):
                     continue
             codes.append(code)
@@ -177,18 +174,13 @@ def _min_degree_masks(degrees):
             yield forced + sum(chosen)
 
 
-def _vertex_children(parent, leaf_only):
-    """Children with a last vertex joined to a neighbour mask that meets
-    every component of the parent, so the child is connected, and passes the
-    vertex rule's invariants.  With leaf_only set the mask is a single old
-    vertex of a connected parent: the new vertex is a leaf, and the child
-    keeps the parent's class."""
+def _vertex_children(parent, masks):
+    """Children with a last vertex joined to each neighbour mask in masks
+    (non-empty bitmasks of the parent's vertices) that meets every component
+    of the parent, so the child is connected, and passes the vertex rule's
+    invariants."""
     x = parent.n
     top = 1 << x
-    if leaf_only:
-        masks = (1 << v for v in range(x))
-    else:
-        masks = _min_degree_masks(parent.degrees)
     for mask in masks:
         rows = list(parent.rows)
         rows.append(mask)
@@ -321,7 +313,7 @@ def _connected_level(n):
     if n == 1:
         return (0,)
     return _canonical_deletion(_all_graphs(n - 1),
-                               lambda g: _vertex_children(g, leaf_only=False))
+                               lambda g: _vertex_children(g, _min_degree_masks(g.degrees)))
 
 
 def _subdivision(k, paths):
@@ -369,8 +361,9 @@ def _class_level(n, index):
     leafless members."""
     if n == 1:
         return () if index else (0,)
+    # each mask is one vertex: the new vertex is a leaf, so the child keeps the class
     grown = _canonical_deletion(_on_demand(_class_level, n - 1, index),
-                                lambda g: _vertex_children(g, leaf_only=True))
+                                lambda g: _vertex_children(g, [1 << v for v in range(g.n)]))
     return tuple(sorted(grown + _leafless(n, index)))
 
 

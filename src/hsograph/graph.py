@@ -339,8 +339,7 @@ def _unpack(n, code):
 # v of plane k is bit k of v's count, at most 15 at n <= 16, so four planes.
 # Splitting a cell by the planes in turn, most significant plane of the first
 # fresh cell first and the 0-side before the 1-side, puts its parts in
-# increasing order of count vector.  A leaf's code is built column by column,
-# and the leaf is dropped at its first column above the best leaf's.
+# increasing order of count vector.  A leaf's code is built column by column.
 #
 # The same search yields generators of the automorphism group: the twin
 # transpositions it prunes by, and the map from the best leaf so far to
@@ -434,14 +433,11 @@ def _canonical_code_order(rows, n):
     """Return (code, order, generators): the minimal leaf code, one vertex
     order achieving it, and permutations (tuples of vertex images) that
     generate the automorphism group."""
-    if n == 1:
-        return 0, (0,), []
     by_deg = [0] * n
     for v in range(n):
         by_deg[rows[v].bit_count()] |= 1 << v
     cells = [cell for cell in by_deg if cell]
     start = _refine(rows, cells, cells[:-1])
-    npairs = n * (n - 1) >> 1
     best_code = None
     best_order = None
     generators = []
@@ -460,7 +456,6 @@ def _canonical_code_order(rows, n):
                 bit >>= 1
                 at[v] = bit
             code = 0
-            tied = best_code is not None  # equal to the best so far
             placed = cells[0]
             for j in range(1, n):
                 r = rows[order[j]] & placed
@@ -471,21 +466,14 @@ def _canonical_code_order(rows, n):
                     r ^= low
                     column |= at[low.bit_length() - 1]
                 code = code << j | column >> (n - j)
-                if tied:
-                    best = best_code >> (npairs - (j * (j + 1) >> 1))
-                    if code != best:
-                        if code > best:
-                            break  # a larger code
-                        tied = False
-            else:
-                if tied:
-                    image = [0] * n
-                    for u, v in zip(best_order, order):
-                        image[u] = v
-                    generators.append(tuple(image))
-                else:
-                    best_code = code
-                    best_order = tuple(order)
+            if best_code is None or code < best_code:
+                best_code = code
+                best_order = tuple(order)
+            elif code == best_code:
+                image = [0] * n
+                for u, v in zip(best_order, order):
+                    image[u] = v
+                generators.append(tuple(image))
             continue
         for idx, cell in enumerate(cells):
             if cell & (cell - 1):

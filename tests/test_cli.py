@@ -32,6 +32,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture
+def star_lowered(monkeypatch):
+    """closed_form_hso less 1, so the star and C^ beat the star's value at
+    n = 4.  closed_form_bound memoizes its values, so its cache is emptied
+    before the patched values are read and again after the test."""
+    closed_form_hso = verify.closed_form_hso
+    monkeypatch.setattr(verify, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
+    verify.closed_form_bound.cache_clear()
+    yield
+    verify.closed_form_bound.cache_clear()
+
+
 class TestCompute:
     def test_family_spec(self, capsys):
         assert run_cli("compute", "star:5") == EXIT_OK
@@ -130,6 +142,12 @@ class TestVerify:
             assert canonical_form(g) == canonical_form(build(star(n)))
         for summary in conjecture_sweep(2, 8):
             assert greatest[summary.n_lo] == summary.extremal_max[summary.n_lo]
+
+    def test_violations_exit_1_and_reach_the_summary(self, star_lowered, capsys):
+        assert run_cli("verify", "star-max", "--n", "4", "--format", "csv") == EXIT_VIOLATION
+        assert ", 2 violations, " in capsys.readouterr().err
+        summary = run_verify_campaign("star-max", 4, 4)
+        assert [v["graph6"] for v in summary.violations] == ["CF", "C^"]
 
     @pytest.mark.parametrize("argv, line", [
         (("verify", "sandwich", "--n", "2..5"),
@@ -254,6 +272,7 @@ class TestErrorExits:
         (("search", "nonesuch"), "invalid choice: 'nonesuch'"),
         (("search", "monotonicity", "--target-delta", "nan"), "argument --target-delta"),
         (("search", "monotonicity", "--target-delta", "-inf"), "argument --target-delta"),
+        (("search", "monotonicity", "--target-delta", "abc"), "argument --target-delta"),
     ])
     def test_parse_error_returns_usage(self, argv, message, capsys):
         # argparse would raise SystemExit; main() returns 2 like any usage error
@@ -337,14 +356,7 @@ class TestSearch:
             assert output(fmt, "4..5") == output(fmt, "4") + gap + output(fmt, "5")
         assert output("csv", "4").endswith(b"\r\n") and output("text", "4").endswith(b"\n")
 
-    def test_conjecture_counterexample_exits_3(self, monkeypatch, capsys, request):
-        # with the star's value lowered by 1, the star and C^ beat it at n = 4;
-        # closed_form_bound memoizes its values, so its cache is emptied
-        # before the patched values are read and again after the test
-        closed_form_hso = verify.closed_form_hso
-        monkeypatch.setattr(verify, "closed_form_hso", lambda spec: closed_form_hso(spec) - 1.0)
-        verify.closed_form_bound.cache_clear()
-        request.addfinalizer(verify.closed_form_bound.cache_clear)
+    def test_conjecture_counterexample_exits_3(self, star_lowered, capsys):
         assert run_cli("search", "conjecture", "--n", "4", "--format", "json") == EXIT_COUNTEREXAMPLE
         violations = json.loads(capsys.readouterr().out)["summary"]["violations"]
         assert [v["graph6"] for v in violations] == ["CF", "C^"]
@@ -364,6 +376,13 @@ class TestSearch:
         doc = json.loads(out.read_text())
         assert doc["summary"]["violations"] == []
         assert set(doc["summary"]["extremal_min"]) == {"3", "4", "5", "6"}
+
+    def test_extremal_table_mismatch_exits_1(self, monkeypatch, capsys):
+        # no graph is a member of any family, so both witnesses of each order mismatch
+        monkeypatch.setattr(search, "is_member", lambda g, kind: False)
+        assert run_cli("search", "extremal-table", "--class", "tree",
+                       "--n", "3..5") == EXIT_VIOLATION
+        assert capsys.readouterr().out.count("  VIOLATION ") == 6
 
     def test_extremal_table_small_orders(self):
         # K1 and K2 are the only connected graphs at n = 1, 2: no cycle to match

@@ -22,6 +22,7 @@ from hsograph.graph import (
     EdgePresentError,
     Graph,
     Graph6Error,
+    GraphError,
     IllegalCharacterError,
     MalformedHeaderError,
     OrderTooLargeError,
@@ -38,7 +39,8 @@ from hsograph.graph import (
     parse_graph6,
 )
 from hsograph.enumeration import _all_graphs, connected_graphs, graphs_in_class
-from hsograph.families import build, complete, cycle, sdprime, star
+from hsograph.families import (FamilySpec, InvalidParametersError, build, complete, cycle,
+                               sdprime, star)
 from hsograph.indices import _pair_term, _profile, _profile_pass, edge_term, hso
 
 import oracles
@@ -231,6 +233,25 @@ class TestMutation:
     def test_add_loop(self):
         with pytest.raises(SelfLoopError):
             p(3).add_edge(1, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: connected_graphs(0), ValueError, "order must be at least 1"),
+    (lambda: graphs_in_class("cubic", 5), ValueError, "unknown graph class 'cubic'"),
+    (lambda: from_edge_list(0, []), GraphError, "graph order must be at least 1"),
+    (lambda: p(3).remove_edge(1, 1), SelfLoopError, "no loop can exist at vertex 1"),
+    (lambda: p(3).has_edge(0, 3), VertexOutOfRangeError, r"vertex 3 not in \[0, 3\)"),
+    (lambda: FamilySpec("tripend", 6, (3, 0)), InvalidParametersError,
+     "tripend takes three pendant counts"),
+    (lambda: FamilySpec("cprime", 6, (3,)), InvalidParametersError,
+     "cprime takes two cycle lengths"),
+    (lambda: FamilySpec("star", 5, (1,)), InvalidParametersError,
+     "star takes no extra parameters"),
+], ids=["connected-order-0", "unknown-class", "order-0", "remove-loop", "has-edge-range",
+        "tripend-params", "cprime-params", "star-params"])
+def test_input_validation_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _memo_graphs():
