@@ -246,10 +246,6 @@ def run_verify_campaign(
             summary.graphs_examined += 1
             if not (r.holds and r.consistent):
                 summary.violations.append(r.to_dict())
-            if r.equality_lower:
-                summary.eq_lower_witnesses.setdefault(r.n, []).append(r.graph6)
-            if r.equality_upper:
-                summary.eq_upper_witnesses.setdefault(r.n, []).append(r.graph6)
             yield r
 
     (write or deque(maxlen=0).extend)(folded())

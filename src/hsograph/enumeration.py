@@ -12,17 +12,19 @@ every component of what its deletion leaves.  The component test is
 invariant under Aut(parent), so the sibling filter below still sees whole
 orbits.
 
-A class level (trees, unicyclic or bicyclic graphs) comes from the same
-class one order below plus a leaf, and from its leafless members, added
-as seeds.  In a class graph with a leaf the minimum degree is 1, so the
-canonical deletion vertex is a leaf, and deleting a leaf keeps the graph
-connected and its cyclomatic number unchanged.  The leafless members have
-minimum degree at least 2 and so are the subdivisions of the class's
-kernels: none for trees past n = 1, the cycle for unicyclic graphs, and
-for bicyclic graphs the theta graphs and two cycles joined by a path (of
-length 0 in the figure-eight).  Each seed is labeled once.  Connected
-graphs with m edges, for m above the bicyclic count n + 1, come from those
-with m-1 edges plus one non-edge, starting at the bicyclic level.
+A class level holds the connected graphs on n vertices with m edges, so of
+cyclomatic number m - n + 1.  It comes from the same class one order below
+plus a leaf, and from its leafless members, added as seeds.  In a class
+graph with a leaf the minimum degree is 1, so the canonical deletion vertex
+is a leaf, and deleting a leaf keeps the graph connected and its cyclomatic
+number unchanged.  Up to bicyclic graphs the leafless members are the
+subdivisions of the class's kernels, each labeled once: none for trees past
+n = 1, the cycle for unicyclic graphs, and for bicyclic graphs the theta
+graphs and two cycles joined by a path (of length 0 in the figure-eight).
+Above that the edge rule joins a non-edge covering every leaf in each class
+graph one number below with at most two leaves: deleting a cycle edge ab
+from a graph of minimum degree 2 keeps it connected, one number lower and
+with leaves only at a and b.
 
 A class of graph.CLASSES is its cyclomatic number m - n + 1, the class's
 index in that one tuple.  So graphs_in_class streams a class as the
@@ -216,11 +218,11 @@ def _vertex_children(parent, masks):
                 yield mask, tuple(rows), top, rivals
 
 
-def _edge_children(parent):
-    """Children with one more edge that passes the edge rule's invariants:
-    no cycle edge of the child has a larger sorted endpoint-degree pair."""
+def _edge_children(parent, pairs):
+    """Children with an edge joining each pair (a, b) of pairs, non-adjacent
+    vertices of the parent, that pass the edge rule's invariants: no cycle
+    edge of the child has a larger sorted endpoint-degree pair."""
     base = parent.rows
-    n = parent.n
     degrees = parent.degrees
     edges = []
     for u, w in parent.edges():
@@ -235,29 +237,26 @@ def _edge_children(parent):
                 nxt |= base[v]
             frontier = nxt & ~side
         edges.append((u, w, side, bool(side >> w & 1)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if base[a] >> b & 1:
+    for a, b in pairs:
+        deg = list(degrees)
+        deg[a] += 1
+        deg[b] += 1
+        top = (deg[a], deg[b]) if deg[a] < deg[b] else (deg[b], deg[a])
+        rivals = []
+        for u, w, side, cyclic in edges:
+            du, dw = deg[u], deg[w]
+            key = (du, dw) if du < dw else (dw, du)
+            if key < top or not (cyclic or (side >> a & 1) != (side >> b & 1)):
                 continue
-            deg = list(degrees)
-            deg[a] += 1
-            deg[b] += 1
-            top = (deg[a], deg[b]) if deg[a] < deg[b] else (deg[b], deg[a])
-            rivals = []
-            for u, w, side, cyclic in edges:
-                du, dw = deg[u], deg[w]
-                key = (du, dw) if du < dw else (dw, du)
-                if key < top or not (cyclic or (side >> a & 1) != (side >> b & 1)):
-                    continue
-                if key > top:
-                    break
-                rivals.append(1 << u | 1 << w)
-            else:
-                rows = list(base)
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-                new = 1 << a | 1 << b
-                yield new, tuple(rows), new, rivals
+            if key > top:
+                break
+            rivals.append(1 << u | 1 << w)
+        else:
+            rows = list(base)
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+            new = 1 << a | 1 << b
+            yield new, tuple(rows), new, rivals
 
 
 def _on_demand(level, n, *args):
@@ -331,13 +330,24 @@ def _subdivision(k, paths):
     return rows
 
 
+def _leaf_covers(g):
+    """The non-edges ab of g with every leaf of g in {a, b}."""
+    leaves = sum(1 << v for v, d in enumerate(g.degrees) if d == 1)
+    return [(a, b) for a, b in combinations(range(g.n), 2)
+            if not (g.rows[a] >> b & 1 or leaves & ~(1 << a | 1 << b))]
+
+
 def _leafless(n, index):
     """Codes of the connected graphs on n >= 2 vertices with cyclomatic
     number index and minimum degree at least 2, sorted: none for trees, the
-    cycle C_n for unicyclic graphs, and for bicyclic graphs the theta graphs
+    cycle C_n for unicyclic graphs, for bicyclic graphs the theta graphs
     (paths of lengths a <= b <= c, b >= 2, between two vertices) and the
     cycles C_p, C_q (3 <= p <= q) joined by a path of length l >= 0, where
-    a + b + c = p + q + l = n + 1."""
+    a + b + c = p + q + l = n + 1, and above that the edge rule's children
+    of the graphs with index - 1 and at most two leaves."""
+    if index > 2:
+        parents = (g for g in _on_demand(_class_level, n, index - 1) if g.degrees.count(1) <= 2)
+        return _canonical_deletion(parents, lambda g: _edge_children(g, _leaf_covers(g)))
     seeds = []
     if index == 1 and n >= 3:
         seeds.append((1, [(0, 0, n)]))
@@ -357,24 +367,14 @@ def _leafless(n, index):
 @lru_cache(maxsize=None)
 def _class_level(n, index):
     """Codes of all connected graphs on n vertices with cyclomatic number
-    index < len(CLASSES), sorted: the class level below plus a leaf, and the
-    leafless members."""
+    index, that is with n - 1 + index edges, sorted: the level below plus a
+    leaf, and the leafless members."""
     if n == 1:
         return () if index else (0,)
     # each mask is one vertex: the new vertex is a leaf, so the child keeps the class
     grown = _canonical_deletion(_on_demand(_class_level, n - 1, index),
                                 lambda g: _vertex_children(g, [1 << v for v in range(g.n)]))
     return tuple(sorted(grown + _leafless(n, index)))
-
-
-@lru_cache(maxsize=None)
-def _edge_level(n, m):
-    """Codes of all connected graphs on n vertices with m >= n - 1 edges,
-    sorted: a class level, or above the bicyclic one the level with m - 1
-    edges plus one edge."""
-    if m - n + 1 < len(CLASSES):
-        return _class_level(n, m - n + 1)
-    return _canonical_deletion(_on_demand(_edge_level, n, m - 1), _edge_children)
 
 
 def connected_graphs(n: int):
@@ -397,7 +397,7 @@ def connected_graphs_with_edges(n: int, m: int):
         )
     if n > TREE_MAX_N:
         raise OrderTooLargeError(f"edge-count enumeration supports n <= {TREE_MAX_N}, got {n}")
-    return _on_demand(_edge_level, n, m)
+    return _on_demand(_class_level, n, m - n + 1)
 
 
 def graphs_in_class(tag: str, n: int):

@@ -108,10 +108,26 @@ def test_criterion_1_closed_form_agreement():
                 _agree(c33(n))
 
 
+def _campaign(theorem, n):
+    """The summary of the campaign at order n, and its reports with a lower
+    and with an upper equality case."""
+    lower, upper = [], []
+
+    def write(reports):
+        for r in reports:
+            if r.equality_lower:
+                lower.append(r)
+            if r.equality_upper:
+                upper.append(r)
+
+    summary = run_verify_campaign(theorem, n, n, write=write)
+    return summary, lower, upper
+
+
 def test_criterion_2_tree_theorem():
     with _Criterion(2, 60, "tree bounds exhaustive 3 <= n <= 10 with unique witnesses"):
         for n in range(3, 11):
-            summary = run_verify_campaign("tree-bounds", n, n)
+            summary, lower, upper = _campaign("tree-bounds", n)
             assert summary.graphs_examined == TREE_COUNTS[n]
             assert summary.graphs_examined == oracles.tree_count(n)
             if n <= 7:
@@ -122,39 +138,33 @@ def test_criterion_2_tree_theorem():
             assert not summary.violations
             path_code = canonical_form(build(path(n)))
             star_code = canonical_form(build(star(n)))
-            lower = summary.eq_lower_witnesses.get(n, [])
-            upper = summary.eq_upper_witnesses.get(n, [])
-            assert len(lower) == 1 and canonical_form(parse_graph6(lower[0])) == path_code
-            assert len(upper) == 1 and canonical_form(parse_graph6(upper[0])) == star_code
+            assert len(lower) == 1 and canonical_form(parse_graph6(lower[0].graph6)) == path_code
+            assert len(upper) == 1 and canonical_form(parse_graph6(upper[0].graph6)) == star_code
 
 
 def test_criterion_3_unicyclic_theorem():
     with _Criterion(3, 120, "unicyclic bounds exhaustive 3 <= n <= 10"):
         for n in range(3, 11):
-            reports = []
-            summary = run_verify_campaign("unicyclic-bounds", n, n, write=reports.extend)
+            summary, lower, upper = _campaign("unicyclic-bounds", n)
             assert summary.graphs_examined == oracles.unicyclic_count(n)
             assert not summary.violations
             cycle_code = canonical_form(build(cycle(n)))
             hub_code = canonical_form(build(sprime(n)))
-            lower = summary.eq_lower_witnesses.get(n, [])
-            upper = summary.eq_upper_witnesses.get(n, [])
             if n >= 5:
-                assert len(lower) == 1 and canonical_form(parse_graph6(lower[0])) == cycle_code
-                assert len(upper) == 1 and canonical_form(parse_graph6(upper[0])) == hub_code
+                assert len(lower) == 1 and canonical_form(parse_graph6(lower[0].graph6)) == cycle_code
+                assert len(upper) == 1 and canonical_form(parse_graph6(upper[0].graph6)) == hub_code
             else:
                 # degenerate orders: equality still lands on the named family,
                 # and the reports carry an explanatory note instead of failing
-                assert all(canonical_form(parse_graph6(g6)) == hub_code for g6 in upper)
-                noted = [r for r in reports if r.equality_upper]
-                assert noted and all(r.note for r in noted)
+                assert all(canonical_form(parse_graph6(r.graph6)) == hub_code for r in upper)
+                assert upper and all(r.note for r in upper)
 
 
 def test_criterion_4_bicyclic_theorems():
     with _Criterion(4, 600, "bicyclic bounds exhaustive 4 <= n <= 10 with exact witnesses"):
         for n in range(4, 11):
-            lo_summary = run_verify_campaign("bicyclic-lower", n, n)
-            hi_summary = run_verify_campaign("bicyclic-upper", n, n)
+            lo_summary, lower, _ = _campaign("bicyclic-lower", n)
+            hi_summary, _, upper = _campaign("bicyclic-upper", n)
             expected_count = oracles.bicyclic_count(n)
             assert lo_summary.graphs_examined == expected_count
             assert hi_summary.graphs_examined == expected_count
@@ -162,15 +172,11 @@ def test_criterion_4_bicyclic_theorems():
             assert not hi_summary.violations
             # upper equality witness is exactly the pendant-loaded K4-e graph
             hub_code = canonical_form(build(sdprime(n)))
-            upper = hi_summary.eq_upper_witnesses.get(n, [])
-            assert len(upper) == 1 and canonical_form(parse_graph6(upper[0])) == hub_code
+            assert len(upper) == 1 and canonical_form(parse_graph6(upper[0].graph6)) == hub_code
             # lower equality witnesses are exactly the cycle-pair classes at n
             expected_codes = {canonical_form(build(cprime(p, n - p))) for p in range(3, n - 2)}
             expected_codes |= {canonical_form(build(cdprime(p, n + 2 - p))) for p in range(3, n)}
-            got_codes = {
-                canonical_form(parse_graph6(g6))
-                for g6 in lo_summary.eq_lower_witnesses.get(n, [])
-            }
+            got_codes = {canonical_form(parse_graph6(r.graph6)) for r in lower}
             assert got_codes == expected_codes and expected_codes
 
 

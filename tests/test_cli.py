@@ -200,7 +200,7 @@ class TestErrorExits:
         def fail(*args, **kwargs):
             raise AssertionError("work done before the order check")
 
-        for name in ("_connected_level", "_class_level", "_edge_level"):
+        for name in ("_connected_level", "_class_level"):
             monkeypatch.setattr(enumeration, name, fail)
         monkeypatch.setattr(cli, "check_theorem", fail)
 
@@ -651,6 +651,25 @@ class TestSubprocessEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_spawned_workers_write_the_serial_bytes(self, tmp_path):
+        # spawned workers start in a fresh interpreter and import what they
+        # run, as under the default start method of macOS and Windows, and of
+        # Linux from Python 3.14 (forkserver): the same bytes as one process
+        code = ("import multiprocessing, sys\n"
+                "from hsograph import cli\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        outs = []
+        for jobs in ("1", "2"):
+            outs.append(tmp_path / f"jobs{jobs}.csv")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "verify", "sandwich", "--n", "2..6",
+                 "--jobs", jobs, "--format", "csv", "--out", str(outs[-1])],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_env_jobs(self, tmp_path):
         # The child inherits the environment (PYTHONPATH included, so an

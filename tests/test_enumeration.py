@@ -14,7 +14,6 @@ from hsograph.enumeration import (
     _class_level,
     _connected_level,
     _edge_children,
-    _edge_level,
     _leafless,
     _on_demand,
     _orbit,
@@ -186,12 +185,15 @@ class TestClassLevels:
     leafless members as seeds."""
 
     def test_leaf_route_equals_edge_route(self):
-        # the edge rule, applied from the trees up, builds the same levels
+        # the edge rule, applied from the trees up with every non-edge,
+        # builds the same levels
         for n in range(1, 11):
             codes = _class_level(n, 0)
-            for index in range(1, len(CLASSES)):
-                codes = _canonical_deletion(_on_demand(lambda _, parent=codes: parent, n),
-                                            _edge_children)
+            for index in range(1, 4):
+                codes = _canonical_deletion(
+                    _on_demand(lambda _, parent=codes: parent, n),
+                    lambda g: _edge_children(g, [(a, b) for a, b in combinations(range(g.n), 2)
+                                                 if not g.rows[a] >> b & 1]))
                 assert _class_level(n, index) == codes
 
     def test_seeds_are_the_leafless_members(self):
@@ -203,18 +205,29 @@ class TestClassLevels:
                                  if min(row.bit_count() for row in _unpack(n, code)) >= 2)
                 assert seeds == leafless
 
+    def test_tricyclic_counts_match_oracle(self):
+        for n in range(4, 11):
+            assert len(_class_level(n, 3)) == oracles.connected_count_with_edges(n, n + 2)
+        assert len(_class_level(10, 3)) == 8548
+
+    def test_every_edge_count_is_the_connected_level_filtered(self):
+        for n in range(1, 9):
+            connected = _connected_level(n)
+            for m in range(n - 1, n * (n - 1) // 2 + 1):
+                assert _class_level(n, m - n + 1) == tuple(
+                    code for code in connected if code.bit_count() == m)
+
 
 def _contract_levels():
     """(level, args) of the connected graphs to n = 7, each class (trees,
-    unicyclic, bicyclic) to n = 10, and the edge level one edge past the
-    bicyclic graphs to n = 8."""
+    unicyclic, bicyclic) to n = 10, and the tricyclic graphs to n = 8."""
     for n in range(1, 8):
         yield _connected_level, (n,)
     for index in range(len(CLASSES)):
         for n in range(1, 11):
             yield _class_level, (n, index)
-    for n in range(4, 9):
-        yield _edge_level, (n, n + 2)
+    for n in range(1, 9):
+        yield _class_level, (n, 3)
 
 
 class TestLevelContract:
@@ -276,32 +289,45 @@ class TestAutomorphismGenerators:
                         assert _orbit(mask, generators) == {_image(mask, p) for p in group}
 
 
+def _labeling_calls(monkeypatch, build):
+    """The canonical labelings that build() makes."""
+    calls = 0
+    label = enumeration._canonical_code_order
+
+    def counted(rows, n):
+        nonlocal calls
+        calls += 1
+        return label(rows, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_canonical_code_order", counted)
+        build()
+    return calls
+
+
 class TestLabelingBudget:
+    """One labeling per Aut(parent) orbit of the children that pass the
+    invariants, plus one for the group of each parent with two or more.
+    Each count covers the levels its call builds beyond those already
+    cached."""
+
     def test_labeling_calls(self, monkeypatch):
-        """One labeling per Aut(parent) orbit of the children that pass the
-        invariants, plus one for the group of each parent with two or more.
-        Each count covers the levels its call builds beyond those already
-        cached: level 8 of the connected graphs, the bicyclic n = 9 chain
-        from K4 - e up, then the tree levels 10..12."""
-        for level in (_connected_level, _class_level, _edge_level):
+        """Level 8 of the connected graphs, the bicyclic n = 9 chain from
+        K4 - e up, then the tree levels 10..12."""
+        for level in (_connected_level, _class_level):
             level.cache_clear()
         _connected_level(7)
         _class_level(9, CLASSES.index(TREE))
-        calls = 0
-        label = enumeration._canonical_code_order
-
-        def counted(rows, n):
-            nonlocal calls
-            calls += 1
-            return label(rows, n)
-
-        monkeypatch.setattr(enumeration, "_canonical_code_order", counted)
         for build, budget in ((lambda: _connected_level(8), 13_000),
                               (lambda: list(bicyclic_graphs(9)), 1_600),
                               (lambda: list(trees(12)), 1_500)):
-            calls = 0
-            build()
-            assert calls <= budget
+            assert _labeling_calls(monkeypatch, build) <= budget
+
+    def test_tricyclic_labeling_calls(self, monkeypatch):
+        """The tricyclic levels 4..10, the bicyclic levels to n = 10 cached."""
+        _class_level.cache_clear()
+        _class_level(10, CLASSES.index(BICYCLIC))
+        assert _labeling_calls(monkeypatch, lambda: _class_level(10, 3)) <= 16_000
 
 
 class TestCaps:
