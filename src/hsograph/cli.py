@@ -4,9 +4,9 @@ build_parser makes one plain argparse subparser per command and per check or
 search kind, each taking only the options its command reads.
 
 Exit codes: 0 clean, 1 theorem violation or inconsistency, 2 usage or I/O
-error, 3 conjecture counterexample found.  Output files embed a header with
-the tool version, tolerance and check identifier; rows come in stream order,
-so identical runs (at any worker count) produce byte-identical files.
+error.  Output files embed a header with the tool version, tolerance and
+check identifier; rows come in stream order, so identical runs (at any
+worker count) produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .indices import hso
 from .search import (
     CampaignSummary,
     MonotonicityWitness,
-    conjecture_sweep,
     extremal_table,
     find_monotonicity_counterexamples,
     sweep,
@@ -48,7 +47,6 @@ from .verify import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-EXIT_COUNTEREXAMPLE = 3
 
 GRAPH_CLASSES = (*CLASSES, "connected")
 
@@ -370,30 +368,6 @@ def cmd_monotonicity(args) -> int:
     return EXIT_OK
 
 
-def cmd_conjecture(args) -> int:
-    n_lo, n_hi = args.n
-    _check_large("connected", n_hi, args.allow_large)
-    # the sweep checks its orders when called, so a bad range opens no output
-    summaries = conjecture_sweep(n_lo, n_hi, args.tolerance, args.jobs)
-    found = False
-    with _output(args.out) as fh:
-        for summary in summaries:
-            n = summary.n_lo
-            print(
-                f"conjecture n={n}: maximizer {summary.extremal_max[n][0]} "
-                f"value={summary.extremal_max[n][1]!r} "
-                f"is_star={summary.details['maximizer_is_star']} "
-                f"violations={len(summary.violations)}",
-                file=sys.stderr,
-            )
-            if n > n_lo and args.format == "csv":
-                fh.write("\n")  # a blank line between two orders' tables
-            meta = {"check": "conjecture-star-max", "tolerance": args.tolerance, "n": n}
-            _write_summary(fh, summary, args.format, meta)
-            found = found or bool(summary.violations)
-    return EXIT_COUNTEREXAMPLE if found else EXIT_OK
-
-
 def cmd_extremal_table(args) -> int:
     n_lo, n_hi = args.n
     _check_large(args.graph_class, n_hi, args.allow_large)
@@ -475,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance", "--jobs", "--format", "--out")
     p.add_argument("--n-max", type=int, default=5, help="max order (default: 5)")
     p.add_argument("--target-delta", type=_finite, help="keep witnesses with this exact HSO drop")
-    add(kinds, "conjecture", cmd_conjecture, "per-order view of star-max",
-        "--n", "--tolerance", "--jobs", "--format", "--out", "--allow-large")
     p = add(kinds, "extremal-table", cmd_extremal_table, "least and greatest HSO per order",
             "--n", "--jobs", "--format", "--out", "--allow-large")
     p.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES, default="connected")

@@ -22,9 +22,10 @@ subdivisions of the class's kernels, each labeled once: none for trees past
 n = 1, the cycle for unicyclic graphs, and for bicyclic graphs the theta
 graphs and two cycles joined by a path (of length 0 in the figure-eight).
 Above that the edge rule joins a non-edge covering every leaf in each class
-graph one number below with at most two leaves: deleting a cycle edge ab
-from a graph of minimum degree 2 keeps it connected, one number lower and
-with leaves only at a and b.
+graph one number below with at most one leaf: deleting a cycle edge ab from
+a graph of minimum degree 2 keeps it connected, one number lower and with
+leaves only at a and b, and not at both, since the canonical edge, outranking
+the edges between two vertices of degree 2, has an endpoint of degree >= 3.
 
 A class of graph.CLASSES is its cyclomatic number m - n + 1, the class's
 index in that one tuple.  So graphs_in_class streams a class as the
@@ -344,9 +345,11 @@ def _leafless(n, index):
     (paths of lengths a <= b <= c, b >= 2, between two vertices) and the
     cycles C_p, C_q (3 <= p <= q) joined by a path of length l >= 0, where
     a + b + c = p + q + l = n + 1, and above that the edge rule's children
-    of the graphs with index - 1 and at most two leaves."""
+    of the graphs with index - 1 and at most one leaf: every cycle of a
+    leafless graph of index >= 2 meets a vertex of degree >= 3, so the
+    canonical edge has such an endpoint, which keeps degree >= 2."""
     if index > 2:
-        parents = (g for g in _on_demand(_class_level, n, index - 1) if g.degrees.count(1) <= 2)
+        parents = (g for g in _on_demand(_class_level, n, index - 1) if g.degrees.count(1) <= 1)
         return _canonical_deletion(parents, lambda g: _edge_children(g, _leaf_covers(g)))
     seeds = []
     if index == 1 and n >= 3:

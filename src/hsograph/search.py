@@ -1,12 +1,13 @@
 """Counterexample and extremal-value campaigns over enumerated graph classes.
 
-Three searches live here: the edge-addition monotonicity hunt (adding an
-edge can lower HSO, and the witnesses prove it), the conjecture sweep that
-reports the star-max theorem of verify.THEOREMS order by order, and the
-per-order extremal tables cross-checked against the characterized families.
-Each one maps sweep over the chained stream of its orders and folds each
-result as it comes, so none holds a whole level; g.n tells the orders apart.
-The monotonicity hunt returns an iterator of its witnesses, in stream order.
+Two searches live here: the edge-addition monotonicity hunt (adding an
+edge can lower HSO, and the witnesses prove it) and the per-order extremal
+tables cross-checked against the characterized families.  Each one maps
+sweep over the chained stream of its orders and folds each result as it
+comes, so none holds a whole level; g.n tells the orders apart.  The
+monotonicity hunt returns an iterator of its witnesses, in stream order.
+check_conjecture_star_max summarizes the star-max theorem of
+verify.THEOREMS at one order, the same checks as `verify star-max`.
 """
 
 from __future__ import annotations
@@ -149,28 +150,22 @@ def witnesses_with_delta(witnesses, target_delta: float, tolerance: float = DEFA
     return (w for w in witnesses if abs(w.delta - target_delta) <= tolerance)
 
 
-def conjecture_sweep(n_lo: int, n_hi: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1):
-    """Iterate over one summary per order n_lo..n_hi of the star-max theorem
-    checked on every connected graph of that order, all through one worker pool.
-    The orders are checked when called; nothing is built until the iterator is.
+def check_conjecture_star_max(
+    n: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1
+) -> CampaignSummary:
+    """The star-max theorem of verify.THEOREMS checked on every connected
+    graph of order n, with the first greatest report in extremal_max.
 
     A report above the star's value ("exceeds"), or meeting it off the star
     ("inconsistent"), would be a major find: it lands in summary.violations.
     """
     min_n = THEOREMS["star-max"].min_n
-    if n_lo < min_n:
+    if n < min_n:
         raise OrderTooSmallError(f"conjecture sweep needs n >= {min_n}")
-    levels = [connected_graphs(n) for n in range(n_lo, n_hi + 1)]
-    check = partial(check_theorem, "star-max", tolerance=tolerance)
-    results = sweep(check, chain.from_iterable(levels), jobs)
-    return (_star_summary(n, level) for n, level in groupby(results, key=lambda result: result[0].n))
-
-
-def _star_summary(n: int, level) -> CampaignSummary:
-    """Fold the (graph, star-max report) pairs of the connected graphs of order n."""
     summary = CampaignSummary("search:conjecture", "connected", n, n)
     best = None
-    for _, r in level:
+    for _, r in sweep(partial(check_theorem, "star-max", tolerance=tolerance),
+                      connected_graphs(n), jobs):
         summary.graphs_examined += 1
         if not (r.holds and r.consistent):
             summary.violations.append({"graph6": r.graph6, "value": r.value,
@@ -182,14 +177,6 @@ def _star_summary(n: int, level) -> CampaignSummary:
     summary.details["star_value"] = best.bound_upper
     # star-max bounds only the upper side, so any structural tag is the star
     summary.details["maximizer_is_star"] = best.structural_class != "none"
-    return summary
-
-
-def check_conjecture_star_max(
-    n: int, tolerance: float = DEFAULT_TOLERANCE, jobs: int = 1
-) -> CampaignSummary:
-    """The conjecture sweep at the single order n."""
-    (summary,) = conjecture_sweep(n, n, tolerance, jobs)
     return summary
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -16,7 +15,6 @@ import pytest
 
 from hsograph import cli, enumeration, search, verify
 from hsograph.cli import (
-    EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -25,7 +23,11 @@ from hsograph.cli import (
 )
 from hsograph.families import build, star
 from hsograph.graph import EdgeAbsentError, canonical_form, parse_graph6
-from hsograph.search import conjecture_sweep, extremal_table, find_monotonicity_counterexamples
+from hsograph.search import (
+    check_conjecture_star_max,
+    extremal_table,
+    find_monotonicity_counterexamples,
+)
 
 
 def run_cli(*argv):
@@ -140,8 +142,8 @@ class TestVerify:
         assert sorted(equal) == list(range(2, 9))
         for n, g in equal.items():
             assert canonical_form(g) == canonical_form(build(star(n)))
-        for summary in conjecture_sweep(2, 8):
-            assert greatest[summary.n_lo] == summary.extremal_max[summary.n_lo]
+        for n in range(2, 9):
+            assert greatest[n] == check_conjecture_star_max(n).extremal_max[n]
 
     def test_violations_exit_1_and_reach_the_summary(self, star_lowered, capsys):
         assert run_cli("verify", "star-max", "--n", "4", "--format", "csv") == EXIT_VIOLATION
@@ -209,7 +211,7 @@ class TestErrorExits:
         ("verify", "unicyclic-bounds", "--n", "3..13"),
         ("verify", "sandwich", "--n", "2..10", "--allow-large"),
         ("search", "extremal-table", "--class", "unicyclic", "--n", "3..13"),
-        ("search", "conjecture", "--n", "2..10", "--allow-large"),
+        ("verify", "star-max", "--n", "2..10", "--allow-large"),
         ("enumerate", "--class", "bicyclic", "--n", "4..13"),
         ("enumerate", "--class", "tree", "--n", "10..13"),
     ])
@@ -227,7 +229,7 @@ class TestErrorExits:
          "no connected graph on 1 vertex has 1 edge"),
         (("search", "extremal-table", "--class", "bicyclic", "--n", "3..6"),
          "no connected graph on 3 vertices has 4 edges"),
-        (("search", "conjecture", "--n", "1..3"), "conjecture sweep needs n >= 2"),
+        (("verify", "star-max", "--n", "1..3"), "star-max is stated for n >= 2"),
         (("search", "monotonicity", "--n-max", "2"),
          "monotonicity search supports 3 <= n_max <= 8"),
         (("verify", "f-monotone", "--n", "4..9"), "f-monotone needs n >= 5"),
@@ -241,8 +243,8 @@ class TestErrorExits:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
-        (("search", "conjecture", "--n", "4", "--class", "tree"), "--class"),
-        (("search", "conjecture", "--n", "4", "--n-max", "6"), "--n-max"),
+        (("compute", "Bw", "--class", "tree"), "--class"),
+        (("verify", "star-max", "--n", "4", "--n-max", "6"), "--n-max"),
         (("search", "monotonicity", "--n", "4"), "--n"),
         (("search", "monotonicity", "--class", "tree"), "--class"),
         (("search", "monotonicity", "--allow-large"), "--allow-large"),
@@ -259,8 +261,8 @@ class TestErrorExits:
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the option check")
 
-        for name in ("conjecture_sweep", "extremal_table", "find_monotonicity_counterexamples",
-                     "check_pendant_split_monotone"):
+        for name in ("check_theorem", "extremal_table", "find_monotonicity_counterexamples",
+                     "check_pendant_split_monotone", "hso"):
             monkeypatch.setattr(cli, name, no_work)
         assert run_cli(*argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {option}")
@@ -273,6 +275,8 @@ class TestErrorExits:
         (("search", "monotonicity", "--target-delta", "nan"), "argument --target-delta"),
         (("search", "monotonicity", "--target-delta", "-inf"), "argument --target-delta"),
         (("search", "monotonicity", "--target-delta", "abc"), "argument --target-delta"),
+        # verify star-max is the one campaign for the star-max claim
+        (("search", "conjecture", "--n", "4"), "invalid choice: 'conjecture'"),
     ])
     def test_parse_error_returns_usage(self, argv, message, capsys):
         # argparse would raise SystemExit; main() returns 2 like any usage error
@@ -337,37 +341,6 @@ class TestSearch:
         assert doc["witnesses"]
         w = doc["witnesses"][0]
         assert w["delta"] < 0
-
-    def test_conjecture_clean(self, capsys):
-        assert run_cli("search", "conjecture", "--n", "4..5") == EXIT_OK
-        err = capsys.readouterr().err
-        assert "is_star=True" in err
-
-    def test_conjecture_orders_concatenate(self, tmp_path):
-        # a range writes each order's document in turn, csv tables apart by
-        # a blank line, the same to --out as to stdout
-        def output(fmt, orders):
-            out = tmp_path / f"{orders}.{fmt}"
-            assert run_cli("search", "conjecture", "--n", orders, "--format", fmt,
-                           "--out", str(out)) == EXIT_OK
-            return out.read_bytes()
-
-        for fmt, gap in (("csv", b"\n"), ("text", b""), ("json", b"")):
-            assert output(fmt, "4..5") == output(fmt, "4") + gap + output(fmt, "5")
-        assert output("csv", "4").endswith(b"\r\n") and output("text", "4").endswith(b"\n")
-
-    def test_conjecture_counterexample_exits_3(self, star_lowered, capsys):
-        assert run_cli("search", "conjecture", "--n", "4", "--format", "json") == EXIT_COUNTEREXAMPLE
-        violations = json.loads(capsys.readouterr().out)["summary"]["violations"]
-        assert [v["graph6"] for v in violations] == ["CF", "C^"]
-        for v in violations:
-            assert abs(v["star_value"] - (3 * math.sqrt(10) - 1.0)) < 1e-12
-            assert v["value"] > v["star_value"]
-            assert v["reason"] == "exceeds"
-        assert abs(violations[0]["value"] - 3 * math.sqrt(10)) < 1e-12
-
-    def test_conjecture_needs_n(self):
-        assert run_cli("search", "conjecture") == EXIT_USAGE
 
     def test_extremal_table(self, tmp_path):
         out = tmp_path / "table.json"
@@ -464,7 +437,7 @@ class TestDeterminismAndParallel:
         assert len(reports) == summary.graphs_examined
         assert not summary.violations
 
-    def test_one_pool_per_campaign(self, monkeypatch, tmp_path):
+    def test_one_pool_per_campaign(self, monkeypatch):
         opened = []
         real_pool = multiprocessing.Pool
 
@@ -485,13 +458,7 @@ class TestDeterminismAndParallel:
         def monotonicity(jobs):
             return [w.to_dict() for w in find_monotonicity_counterexamples(6, jobs=jobs)]
 
-        def conjecture(jobs):
-            out = tmp_path / f"conjecture{jobs}.json"
-            assert run_cli("search", "conjecture", "--n", "4..6", "--format", "json",
-                           "--jobs", str(jobs), "--out", str(out)) == EXIT_OK
-            return out.read_bytes()
-
-        for campaign in (verify, table, monotonicity, conjecture):
+        for campaign in (verify, table, monotonicity):
             opened.clear()
             serial = campaign(1)
             assert opened == []
@@ -508,7 +475,7 @@ class TestHelp:
                                   "--format {text,csv,json}", "--out OUT", "--allow-large",
                                   "narrow a check stated over connected graphs"]),
         (("verify", "f-monotone"), ["--n N", "--format {text,csv,json}", "--out OUT"]),
-        (("search",), ["{monotonicity,conjecture,extremal-table}"]),
+        (("search",), ["{monotonicity,extremal-table}"]),
         (("search", "monotonicity"), ["--n-max N_MAX", "--target-delta TARGET_DELTA"]),
         (("search", "extremal-table"), ["--class {tree,unicyclic,bicyclic,connected}"]),
         (("enumerate",), ["--edges EDGES", "--class {tree,unicyclic,bicyclic,connected}"]),

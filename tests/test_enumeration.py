@@ -210,6 +210,11 @@ class TestClassLevels:
             assert len(_class_level(n, 3)) == oracles.connected_count_with_edges(n, n + 2)
         assert len(_class_level(10, 3)) == 8548
 
+    def test_four_cycle_count_at_nine_matches_oracle(self):
+        # index 4 is seeded from the tricyclic graphs with at most one leaf;
+        # the connected-level comparison below reaches only n = 8
+        assert len(_class_level(9, 4)) == oracles.connected_count_with_edges(9, 12) == 4495
+
     def test_every_edge_count_is_the_connected_level_filtered(self):
         for n in range(1, 9):
             connected = _connected_level(n)

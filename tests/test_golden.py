@@ -53,8 +53,6 @@ GOLDEN = {
         "5d0e7f2fed3437a3e151dc3fac113c9dc5e2694d0d4ed2307afda4b589c77511",
     ("search", "extremal-table", "--class", "connected", "--n", "3..6"):
         "3654e9aa0bb7bb2a93504ec1419b11c2a22a30fbf249103f36f9545078772c3e",
-    ("search", "conjecture", "--n", "4..6"):
-        "456e398d3cd6c5656cacaed5d39b4f66e7742853f0c234a53b99e6a084a4258b",
 }
 
 # verify <check> --format json: CSV drops the note column, so these pin the

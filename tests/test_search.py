@@ -1,4 +1,4 @@
-"""Monotonicity counterexamples, conjecture sweeps and extremal tables."""
+"""Monotonicity counterexamples, star-max summaries and extremal tables."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list, p
 from hsograph.indices import hso
 from hsograph.search import (
     check_conjecture_star_max,
-    conjecture_sweep,
     extremal_table,
     find_monotonicity_counterexamples,
     revalidate_witness,
@@ -118,25 +117,28 @@ class TestConjectureSweep:
         assert violation["reason"] == "inconsistent"
         assert not summary.details["maximizer_is_star"]
 
+    def test_value_above_the_star_is_a_violation(self, monkeypatch):
+        # closed_form_hso less 1, so the star and C^ beat the star's value at
+        # n = 4; closed_form_bound memoizes, so its cache is emptied around the run
+        closed_form = verify.closed_form_hso
+        monkeypatch.setattr(verify, "closed_form_hso", lambda spec: closed_form(spec) - 1.0)
+        verify.closed_form_bound.cache_clear()
+        try:
+            violations = check_conjecture_star_max(4).violations
+        finally:
+            verify.closed_form_bound.cache_clear()
+        assert [v["graph6"] for v in violations] == ["CF", "C^"]
+        for v in violations:
+            assert abs(v["star_value"] - (3 * math.sqrt(10) - 1.0)) < 1e-12
+            assert v["value"] > v["star_value"]
+            assert v["reason"] == "exceeds"
+        assert abs(violations[0]["value"] - 3 * math.sqrt(10)) < 1e-12
+
     def test_order_caps(self):
         with pytest.raises(verify.OrderTooSmallError):
             check_conjecture_star_max(1)
         with pytest.raises(OrderTooLargeError):
             check_conjecture_star_max(10)
-
-    def test_range_checked_when_called_and_levels_built_when_iterated(self, monkeypatch):
-        with pytest.raises(verify.OrderTooSmallError):
-            conjecture_sweep(1, 3)
-        with pytest.raises(OrderTooLargeError):
-            conjecture_sweep(2, 10)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("a level built before the summaries were drawn")
-
-        monkeypatch.setattr(enumeration, "_connected_level", fail)
-        summaries = conjecture_sweep(5, 8)
-        with pytest.raises(AssertionError, match="a level built"):
-            next(summaries)
 
     def test_summary_serialization(self):
         assert "wall_time" not in check_conjecture_star_max(4).to_dict()
