@@ -50,14 +50,6 @@ class InvalidParametersError(ValueError):
     pass
 
 
-class UnknownTheoremError(ValueError):
-    pass
-
-
-class OrderOutOfRangeError(ValueError):
-    pass
-
-
 class FamilySpec(namedtuple("FamilySpec", "kind n params")):
     """Symbolic description of one family member: kind, order and parameters.
     Every way of making one validates it: the constructor, _make and _replace."""

@@ -43,27 +43,8 @@ _G6_PREFIX = ">>graph6<<"
 
 
 class GraphError(ValueError):
-    """Base for graph construction and mutation failures."""
-
-
-class VertexOutOfRangeError(GraphError):
-    pass
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class EdgePresentError(GraphError):
-    pass
-
-
-class EdgeAbsentError(GraphError):
-    pass
+    """A graph that cannot be built or changed as asked: a vertex out of
+    range, a loop, an edge listed twice, present or absent."""
 
 
 class OrderTooLargeError(GraphError):
@@ -71,19 +52,8 @@ class OrderTooLargeError(GraphError):
 
 
 class Graph6Error(GraphError):
-    """Base for graph6 encode/decode failures."""
-
-
-class MalformedHeaderError(Graph6Error):
-    pass
-
-
-class TruncatedBodyError(Graph6Error):
-    pass
-
-
-class IllegalCharacterError(Graph6Error):
-    pass
+    """A graph6 string that cannot be decoded: its header, length or a body
+    character."""
 
 
 def _bits(mask):
@@ -131,7 +101,7 @@ class Graph:
 
     def _check_vertex(self, v):
         if not 0 <= v < self.n:
-            raise VertexOutOfRangeError(f"vertex {v} not in [0, {self.n})")
+            raise GraphError(f"vertex {v} not in [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -149,9 +119,9 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
-            raise SelfLoopError(f"cannot add loop at vertex {u}")
+            raise GraphError(f"cannot add loop at vertex {u}")
         if self.rows[u] >> v & 1:
-            raise EdgePresentError(f"edge ({u}, {v}) already present")
+            raise GraphError(f"edge ({u}, {v}) already present")
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -161,9 +131,9 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
-            raise SelfLoopError(f"no loop can exist at vertex {u}")
+            raise GraphError(f"no loop can exist at vertex {u}")
         if not self.rows[u] >> v & 1:
-            raise EdgeAbsentError(f"edge ({u}, {v}) not present")
+            raise GraphError(f"edge ({u}, {v}) not present")
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -245,11 +215,11 @@ def from_edge_list(n: int, edges) -> Graph:
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+            raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise GraphError(f"self-loop at vertex {u}")
         if rows[u] >> v & 1:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) listed twice")
+            raise GraphError(f"edge ({u}, {v}) listed twice")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -261,27 +231,27 @@ def parse_graph6(text: str) -> Graph:
     if s.startswith(_G6_PREFIX):
         s = s[len(_G6_PREFIX):]
     if not s:
-        raise MalformedHeaderError("empty graph6 string")
+        raise Graph6Error("empty graph6 string")
     head = ord(s[0])
     if head == 126:
-        raise MalformedHeaderError("extended graph6 headers (n > 62) are not supported")
+        raise Graph6Error("extended graph6 headers (n > 62) are not supported")
     if not 63 <= head <= 125:
-        raise MalformedHeaderError(f"invalid graph6 header byte {s[0]!r}")
+        raise Graph6Error(f"invalid graph6 header byte {s[0]!r}")
     n = head - 63
     if n == 0:
-        raise MalformedHeaderError("empty graphs (n = 0) are not supported")
+        raise Graph6Error("empty graphs (n = 0) are not supported")
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
     body = s[1:]
     if len(body) < need:
-        raise TruncatedBodyError(f"graph6 body needs {need} characters, got {len(body)}")
+        raise Graph6Error(f"graph6 body needs {need} characters, got {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"unexpected trailing characters after graph6 body: {body[need:]!r}")
     code = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
-            raise IllegalCharacterError(f"illegal graph6 body character {ch!r}")
+            raise Graph6Error(f"illegal graph6 body character {ch!r}")
         code = code << 6 | val
     # the low 6 * need - npairs bits are padding, ignored
     pad = 6 * need - npairs

@@ -20,16 +20,9 @@ SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
 
-class ZeroDegreeError(ValueError):
-    pass
-
-
-class DegreeExceedsDeltaError(ValueError):
-    pass
-
-
-class K2EdgeError(ValueError):
-    pass
+class DomainViolationError(ValueError):
+    """Arguments outside the domain a formula or statement is stated over:
+    a degree, an order or a graph class."""
 
 
 class EdgeTerm(namedtuple("EdgeTerm", "u v du dv value")):
@@ -57,7 +50,7 @@ class IndexValue(namedtuple("IndexValue", "hso so graph")):
 def edge_term(du: int, dv: int) -> float:
     """sqrt(du^2 + dv^2) / min(du, dv); symmetric in its arguments."""
     if du < 1 or dv < 1:
-        raise ZeroDegreeError("an edge endpoint cannot have degree zero")
+        raise DomainViolationError("an edge endpoint cannot have degree zero")
     return _pair_term(du, dv)[1]
 
 
@@ -126,13 +119,13 @@ def edge_term_bounds(du: int, dv: int, max_degree: int) -> tuple[float, float]:
     """
     lo, hi = min(du, dv), max(du, dv)
     if lo < 1:
-        raise ZeroDegreeError("an edge endpoint cannot have degree zero")
+        raise DomainViolationError("an edge endpoint cannot have degree zero")
     if hi > max_degree:
-        raise DegreeExceedsDeltaError(
+        raise DomainViolationError(
             f"degree {hi} exceeds stated maximum degree {max_degree}"
         )
     if lo == 1 and hi == 1:
-        raise K2EdgeError("bounds are undefined for an isolated K2 edge")
+        raise DomainViolationError("bounds are undefined for an isolated K2 edge")
     if lo == 1:
         return (SQRT5, math.sqrt(max_degree * max_degree + 1))
     return (SQRT2, math.sqrt(max_degree * max_degree + 4) / 2.0)

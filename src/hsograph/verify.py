@@ -26,9 +26,9 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .families import _EXTREMES, OrderOutOfRangeError, UnknownTheoremError, closed_form_hso, is_member
+from .families import _EXTREMES, closed_form_hso, is_member
 from .graph import DISCONNECTED, Graph
-from .indices import SQRT2, _profile, edge_term, edge_term_bounds
+from .indices import SQRT2, DomainViolationError, _profile, edge_term, edge_term_bounds
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -43,26 +43,6 @@ CSV_COLUMNS = (
     "structural_class",
     "consistent",
 )
-
-
-class DisconnectedInputError(ValueError):
-    pass
-
-
-class NotATreeError(ValueError):
-    pass
-
-
-class NotUnicyclicError(ValueError):
-    pass
-
-
-class NotBicyclicError(ValueError):
-    pass
-
-
-class DomainViolationError(ValueError):
-    pass
 
 
 class OrderTooSmallError(DomainViolationError):
@@ -130,7 +110,7 @@ def is_heavy_independent(g: Graph) -> bool:
     are exactly the graphs attaining the upper end of the SO/HSO sandwich.
     """
     if not g.is_connected():
-        raise DisconnectedInputError("is_heavy_independent requires a connected graph")
+        raise DomainViolationError("is_heavy_independent requires a connected graph")
     dmin = g.min_degree
     return g.max_degree != dmin and all(lo == dmin for lo, _ in _profile(g)[2])
 
@@ -358,22 +338,14 @@ def closed_form_bound(theorem: str, n: int) -> tuple[float | None, float | None]
     Memoized per (theorem, n); a refused input raises again on every call."""
     record = THEOREMS.get(theorem)
     if record is None or not any(record.bounds):
-        raise UnknownTheoremError(f"no closed-form bound for theorem {theorem!r}")
+        raise UnknownCheckError(f"no closed-form bound for theorem {theorem!r}")
     bounds_lower, bounds_upper = record.bounds
     (_, lower, lower_n), (_, upper, upper_n) = _EXTREMES[record.graph_class]
     min_n = max(lower_n if bounds_lower else 0, upper_n if bounds_upper else 0)
     if n < min_n:
-        raise OrderOutOfRangeError(f"{theorem} is stated for n >= {min_n}, got {n}")
+        raise OrderTooSmallError(f"{theorem} is stated for n >= {min_n}, got {n}")
     return (closed_form_hso(lower(n)) if bounds_lower else None,
             closed_form_hso(upper(n)) if bounds_upper else None)
-
-
-_CLASS_ERRORS = {
-    "connected": DisconnectedInputError,
-    "tree": NotATreeError,
-    "unicyclic": NotUnicyclicError,
-    "bicyclic": NotBicyclicError,
-}
 
 
 def check_theorem(theorem: str, g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> TheoremReport:
@@ -385,7 +357,7 @@ def check_theorem(theorem: str, g: Graph, tolerance: float = DEFAULT_TOLERANCE) 
         raise UnknownCheckError(f"unknown theorem identifier {theorem!r}") from None
     graph_class = g.classify()
     if not record.covers(graph_class) or graph_class == DISCONNECTED:
-        raise _CLASS_ERRORS[record.graph_class](
+        raise DomainViolationError(
             f"{theorem} is stated over {record.graph_class} graphs, not {graph_class}")
     if g.n < record.min_n:
         raise OrderTooSmallError(f"{theorem} is stated for n >= {record.min_n}, got {g.n}")

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import inspect
 import io
 import json
 import multiprocessing
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 
 import pytest
 
+import hsograph
 from hsograph import cli, enumeration, search, verify
 from hsograph.cli import (
     EXIT_OK,
@@ -23,7 +26,7 @@ from hsograph.cli import (
     run_verify_campaign,
 )
 from hsograph.families import build, star
-from hsograph.graph import EdgeAbsentError, canonical_form, parse_graph6
+from hsograph.graph import GraphError, canonical_form, parse_graph6
 from hsograph.search import (
     check_conjecture_star_max,
     extremal_table,
@@ -82,10 +85,18 @@ class TestCompute:
         assert len(doc["results"]) == 2
 
     def test_bad_family(self, capsys):
-        assert run_cli("compute", "star:notanumber") == EXIT_USAGE
+        # an input fault exits 2, and its message is the whole of stderr
+        for text, message in (("star:notanumber", "non-integer family parameters in 'star:notanumber'"),
+                              ("tripend:1,2", "tripend:A1,A2,A3 takes three integers")):
+            assert run_cli("compute", text) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_graph6(self, capsys):
-        assert run_cli("compute", "B") == EXIT_USAGE
+        for text, message in (("B", "graph6 body needs 1 characters, got 0"),
+                              ("B!", "illegal graph6 body character '!'"),
+                              ("~", "extended graph6 headers (n > 62) are not supported")):
+            assert run_cli("compute", text) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nothing_to_do(self, capsys):
         assert run_cli("compute") == EXIT_USAGE
@@ -319,12 +330,27 @@ class TestErrorExits:
     def test_internal_graph_error_propagates(self, monkeypatch):
         # a graph error that no input can cause is a fault, not a usage error
         def faulty(theorem, g, tolerance):
-            raise EdgeAbsentError("edge (0, 1) not present")
+            raise GraphError("edge (0, 1) not present")
 
         record = verify.THEOREMS["sandwich"]
         monkeypatch.setitem(verify.THEOREMS, "sandwich", record._replace(checker=faulty))
-        with pytest.raises(EdgeAbsentError, match=r"edge \(0, 1\) not present"):
+        with pytest.raises(GraphError, match=r"edge \(0, 1\) not present"):
             run_cli("verify", "sandwich", "--n", "3..4")
+
+
+def test_one_exception_type_per_kind_of_fault():
+    # each message says which value or statement the input falls outside of,
+    # so no caller needs a finer type than these nine
+    defined = set()
+    for info in pkgutil.iter_modules(hsograph.__path__):
+        module = importlib.import_module(f"hsograph.{info.name}")
+        defined.update(name for name, obj in vars(module).items()
+                       if isinstance(obj, type) and issubclass(obj, Exception)
+                       and obj.__module__ == module.__name__)
+    assert defined == {"GraphError", "Graph6Error", "OrderTooLargeError", "DomainViolationError",
+                       "OrderTooSmallError", "UnknownCheckError", "InvalidParametersError",
+                       "InfeasibleEdgeCountError", "UsageError"}
+    assert issubclass(verify.OrderTooSmallError, verify.DomainViolationError)
 
 
 class TestSearch:

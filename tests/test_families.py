@@ -11,8 +11,6 @@ from hsograph.enumeration import bicyclic_graphs, connected_graphs, trees, unicy
 from hsograph.families import (
     FamilySpec,
     InvalidParametersError,
-    OrderOutOfRangeError,
-    UnknownTheoremError,
     build,
     c33,
     cdprime,
@@ -30,7 +28,7 @@ from hsograph.families import (
 )
 from hsograph.graph import BICYCLIC, TREE, UNICYCLIC, canonical_form, from_edge_list
 from hsograph.indices import hso
-from hsograph.verify import closed_form_bound
+from hsograph.verify import OrderTooSmallError, UnknownCheckError, closed_form_bound
 
 REL = 1e-9
 
@@ -194,13 +192,16 @@ class TestClosedFormBounds:
                 assert lo is None or hi is None or lo <= hi, (theorem, n)
 
     def test_unknown_theorem(self):
-        with pytest.raises(UnknownTheoremError):
+        with pytest.raises(UnknownCheckError,
+                           match="no closed-form bound for theorem 'no-such-theorem'"):
             closed_form_bound("no-such-theorem", 5)
 
     def test_order_out_of_range(self):
-        with pytest.raises(OrderOutOfRangeError):
+        # the same type check_theorem raises for an order below a floor,
+        # which the CLI turns into exit 2
+        with pytest.raises(OrderTooSmallError, match="bicyclic-lower is stated for n >= 4, got 3"):
             closed_form_bound("bicyclic-lower", 3)
-        with pytest.raises(OrderOutOfRangeError):
+        with pytest.raises(OrderTooSmallError, match="tree-bounds is stated for n >= 2, got 1"):
             closed_form_bound("tree-bounds", 1)
 
 

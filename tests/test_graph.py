@@ -17,18 +17,10 @@ from hsograph.graph import (
     OTHER_CONNECTED,
     TREE,
     UNICYCLIC,
-    DuplicateEdgeError,
-    EdgeAbsentError,
-    EdgePresentError,
     Graph,
     Graph6Error,
     GraphError,
-    IllegalCharacterError,
-    MalformedHeaderError,
     OrderTooLargeError,
-    SelfLoopError,
-    TruncatedBodyError,
-    VertexOutOfRangeError,
     _canonical_code_order,
     _encode_graph6,
     _refine,
@@ -66,15 +58,15 @@ class TestConstruction:
         assert g.degrees == (3, 1, 1, 1)
 
     def test_out_of_range(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(GraphError, match=r"edge \(0, 3\) has an endpoint outside \[0, 3\)"):
             from_edge_list(3, [(0, 3)])
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(GraphError, match="self-loop at vertex 1"):
             from_edge_list(3, [(1, 1)])
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(GraphError, match=r"edge \(1, 0\) listed twice"):
             from_edge_list(3, [(0, 1), (1, 0)])
 
     def test_handshake_over_enumerated(self):
@@ -164,19 +156,19 @@ class TestGraph6:
         assert g.to_graph6() == encoded == _encode_graph6(g.rows)
 
     def test_truncated_body(self):
-        with pytest.raises(TruncatedBodyError):
+        with pytest.raises(Graph6Error, match="graph6 body needs 1 characters, got 0"):
             parse_graph6("B")
 
     def test_bad_header(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(Graph6Error, match=r"invalid graph6 header byte '\\x14'"):
             parse_graph6(chr(20) + "w")
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(Graph6Error, match="empty graph6 string"):
             parse_graph6("")
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(Graph6Error, match=r"extended graph6 headers \(n > 62\) are not supported"):
             parse_graph6("~??")
 
     def test_illegal_character(self):
-        with pytest.raises(IllegalCharacterError):
+        with pytest.raises(Graph6Error, match="illegal graph6 body character '!'"):
             parse_graph6("B!")
 
     def test_trailing_garbage(self):
@@ -224,15 +216,15 @@ class TestMutation:
         assert canonical_form(tri.remove_edge(0, 2)) == canonical_form(p(3))
 
     def test_add_present(self):
-        with pytest.raises(EdgePresentError):
+        with pytest.raises(GraphError, match=r"edge \(0, 1\) already present"):
             p(3).add_edge(0, 1)
 
     def test_remove_absent(self):
-        with pytest.raises(EdgeAbsentError):
+        with pytest.raises(GraphError, match=r"edge \(0, 2\) not present"):
             p(3).remove_edge(0, 2)
 
     def test_add_loop(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(GraphError, match="cannot add loop at vertex 1"):
             p(3).add_edge(1, 1)
 
 
@@ -240,8 +232,8 @@ class TestMutation:
     (lambda: connected_graphs(0), ValueError, "order must be at least 1"),
     (lambda: graphs_in_class("cubic", 5), ValueError, "unknown graph class 'cubic'"),
     (lambda: from_edge_list(0, []), GraphError, "graph order must be at least 1"),
-    (lambda: p(3).remove_edge(1, 1), SelfLoopError, "no loop can exist at vertex 1"),
-    (lambda: p(3).has_edge(0, 3), VertexOutOfRangeError, r"vertex 3 not in \[0, 3\)"),
+    (lambda: p(3).remove_edge(1, 1), GraphError, "no loop can exist at vertex 1"),
+    (lambda: p(3).has_edge(0, 3), GraphError, r"vertex 3 not in \[0, 3\)"),
     (lambda: FamilySpec("tripend", 6, (3, 0)), InvalidParametersError,
      "tripend takes three pendant counts"),
     (lambda: FamilySpec("cprime", 6, (3,)), InvalidParametersError,

@@ -14,11 +14,7 @@ from hsograph.families import build, c33, cdprime, complete, cprime, cycle, path
 from hsograph.graph import OrderTooLargeError, canonical_form, from_edge_list
 from hsograph.indices import edge_term, hso
 from hsograph.verify import (
-    DisconnectedInputError,
     DomainViolationError,
-    NotATreeError,
-    NotBicyclicError,
-    NotUnicyclicError,
     OrderTooSmallError,
     TheoremReport,
     UnknownCheckError,
@@ -57,7 +53,7 @@ class TestHeavyIndependent:
         assert not is_heavy_independent(build(path(4)))
 
     def test_requires_connected(self):
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(DomainViolationError, match="is_heavy_independent requires a connected graph"):
             is_heavy_independent(two_components())
 
     def test_matches_edge_definition(self):
@@ -117,7 +113,8 @@ class TestSandwich:
         assert r.equality_lower and r.equality_upper and r.consistent
 
     def test_requires_connected(self):
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(DomainViolationError,
+                           match="sandwich is stated over connected graphs, not disconnected"):
             check_sandwich(two_components())
 
 
@@ -145,11 +142,12 @@ class TestTreeBounds:
         assert r.structural_class == "path+star"
 
     def test_rejects_non_tree(self):
-        with pytest.raises(NotATreeError):
+        with pytest.raises(DomainViolationError,
+                           match="tree-bounds is stated over tree graphs, not unicyclic"):
             check_tree_bounds(build(cycle(4)))
 
     def test_rejects_tiny(self):
-        with pytest.raises(OrderTooSmallError):
+        with pytest.raises(OrderTooSmallError, match="tree-bounds is stated for n >= 3, got 2"):
             check_tree_bounds(build(path(2)))
 
 
@@ -169,7 +167,8 @@ class TestGeneralLower:
         assert r.holds and not r.equality_lower and r.consistent
 
     def test_requires_connected(self):
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(DomainViolationError,
+                           match="general-lower is stated over connected graphs, not disconnected"):
             check_general_lower(two_components())
 
 
@@ -194,7 +193,8 @@ class TestUnicyclicBounds:
         assert r.note  # degenerate-order upper equality is recorded
 
     def test_rejects_tree(self):
-        with pytest.raises(NotUnicyclicError):
+        with pytest.raises(DomainViolationError,
+                           match="unicyclic-bounds is stated over unicyclic graphs, not tree"):
             check_unicyclic_bounds(build(path(4)))
 
 
@@ -223,9 +223,11 @@ class TestBicyclicBounds:
         assert r_lo.consistent and r_hi.consistent
 
     def test_rejects_non_bicyclic(self):
-        with pytest.raises(NotBicyclicError):
+        with pytest.raises(DomainViolationError,
+                           match="bicyclic-lower is stated over bicyclic graphs, not unicyclic"):
             check_bicyclic_lower(build(cycle(5)))
-        with pytest.raises(NotBicyclicError):
+        with pytest.raises(DomainViolationError,
+                           match="bicyclic-upper is stated over bicyclic graphs, not tree"):
             check_bicyclic_upper(build(path(5)))
 
 
@@ -247,7 +249,8 @@ class TestEdgeCountBounds:
         assert not r.equality_lower and not r.equality_upper
 
     def test_requires_connected(self):
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(DomainViolationError,
+                           match="edge-count-bounds is stated over connected graphs, not disconnected"):
             check_edge_count_bounds(two_components())
 
 
@@ -265,7 +268,7 @@ class TestLemmaEdgeBounds:
         assert r.holds and r.consistent
 
     def test_rejects_tiny(self):
-        with pytest.raises(OrderTooSmallError):
+        with pytest.raises(OrderTooSmallError, match="lemma-edge-bounds is stated for n >= 3, got 2"):
             check_lemma_edge_bounds(build(path(2)))
 
 
@@ -430,11 +433,11 @@ class TestPendantSplitWeight:
             pendant_split_weight((n - 3) // 2, n)
 
     def test_domain_violations(self):
-        with pytest.raises(DomainViolationError):
+        with pytest.raises(DomainViolationError, match=r"x = 0.5 outside \[1, 3\]"):
             pendant_split_weight(0.5, 10)
-        with pytest.raises(DomainViolationError):
+        with pytest.raises(DomainViolationError, match=r"x = 4 outside \[1, 3\]"):
             pendant_split_weight(4, 10)
-        with pytest.raises(DomainViolationError):
+        with pytest.raises(DomainViolationError, match="the split weight needs n >= 5"):
             pendant_split_weight(1, 4)
 
     def test_monotone_scan(self):
@@ -446,7 +449,7 @@ class TestPendantSplitWeight:
         assert check_pendant_split_monotone(6)
 
     def test_order_below_domain(self):
-        with pytest.raises(DomainViolationError):
+        with pytest.raises(OrderTooSmallError, match="f-monotone needs n >= 5"):
             check_pendant_split_monotone(4)
 
     def test_slope_test_fails_one_step_past_domain(self):
@@ -487,7 +490,7 @@ class TestDispatchAndSweeps:
     def test_dispatch(self):
         r = check_theorem("sandwich", build(cycle(4)))
         assert r.theorem == "sandwich"
-        with pytest.raises(UnknownCheckError):
+        with pytest.raises(UnknownCheckError, match="unknown theorem identifier 'bogus'"):
             check_theorem("bogus", build(cycle(4)))
 
     def test_sandwich_sweep_small(self):
@@ -569,13 +572,6 @@ class TestDispatchAndSweeps:
         assert row[0] == "sandwich" and len(row) == 9
 
 
-CLASS_ERRORS = {
-    "connected": DisconnectedInputError,
-    "tree": NotATreeError,
-    "unicyclic": NotUnicyclicError,
-    "bicyclic": NotBicyclicError,
-}
-
 PUBLIC_CHECKERS = {
     "sandwich": check_sandwich,
     "tree-bounds": check_tree_bounds,
@@ -595,10 +591,11 @@ CLASS_MEMBER = {"connected": cycle(5), "tree": path(5), "unicyclic": cycle(5),
 @pytest.mark.parametrize("theorem", list(verify.THEOREMS))
 def test_registry_contract(theorem):
     """check_theorem and the public check_* name both refuse a graph outside
-    the registered class with that class's error, and a class graph below
-    the registered least order with OrderTooSmallError."""
+    the registered class with a DomainViolationError that names the class,
+    and a class graph below the registered least order with
+    OrderTooSmallError."""
     record = verify.THEOREMS[theorem]
-    error = CLASS_ERRORS[record.graph_class]
+    outside_class = f"{theorem} is stated over {record.graph_class} graphs"
     # two components lie outside every class; K4 is connected, with
     # cyclomatic number 3
     outside = [two_components()]
@@ -612,8 +609,9 @@ def test_registry_contract(theorem):
     member = build(CLASS_MEMBER[record.graph_class])
     for check in (lambda g, tol: check_theorem(theorem, g, tol), PUBLIC_CHECKERS[theorem]):
         for g in outside:
-            with pytest.raises(error):
+            with pytest.raises(DomainViolationError, match=outside_class) as refused:
                 check(g, 1e-9)
+            assert not isinstance(refused.value, OrderTooSmallError)
         for g in too_small:
             with pytest.raises(OrderTooSmallError):
                 check(g, 1e-9)
